@@ -81,19 +81,20 @@ def _experiment_command(args, runner) -> int:
         prog = programs.build_program(args.prog, args.n)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    if args.modulus is not None:
-        audit = shoup_audit(prog, args.n, args.modulus, args.C)
-        rows = [audit.row(prog.name, args.n, args.modulus, args.C)]
-        _emit(rows, args.out, args.format)
-        return 0 if audit.holds else 1
-    if args.mode == "sample" and args.seed is None:
-        raise _UsageError("sampled mode requires --seed")
-    result = runner(
-        prog, args.n, mode=args.mode, seed=args.seed, samples=args.samples
-    )
-    rows = [result.row(prog.name, args.n, "avg")]
-    _emit(rows, args.out, args.format)
-    return 0
+    try:
+        if args.modulus is not None:
+            audit = shoup_audit(prog, args.n, args.modulus, args.C)
+            row = audit.row(prog.name, args.n, args.modulus, args.C)
+            code = 0 if audit.holds else 1
+        else:
+            result = runner(
+                prog, args.n, mode=args.mode, seed=args.seed, samples=args.samples
+            )
+            row, code = result.row(prog.name, args.n, "avg"), 0
+    except ValueError as exc:  # bad width, modulus, seed or sample count
+        raise _UsageError(str(exc))
+    _emit([row], args.out, args.format)
+    return code
 
 
 def cmd_dlog(args) -> int:

@@ -20,7 +20,7 @@ against the raw member set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -73,6 +73,8 @@ class EnumeratedOpenSet:
     measure_approx: Callable[[int], Fraction]
     stage_cap: int = 64
     description: str = ""
+    # precision k -> _stage_for result; lives and dies with this set
+    _stage_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("binary", "family"):
@@ -113,22 +115,26 @@ def conditional_measure_exact(members: Iterable, t) -> Fraction:
     )
 
 
-@lru_cache(maxsize=4096)
 def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, Fraction]:
     """Stage search: the first stage heavy enough for precision k.
 
     Uses the exact partition identity "sum of per-cell masses at any
     depth equals the total mass", so the per-cell sum never has to be
     enumerated cell by cell.  Returns (stage index, stage, its measure,
-    the approximator's value).
+    the approximator's value), memoized on ``S`` so that nothing outlives
+    the open set it was computed for.
     """
+    found = S._stage_memo.get(k)
+    if found is not None:
+        return found
     g = S.measure_approx(k)
     threshold = g - Fraction(1, 2**k)
     for m in range(1, S.stage_cap + 1):
         stage = S.stages(m)
         stage_measure = measure(stage)
         if stage_measure > threshold:
-            return m, stage, stage_measure, g
+            found = S._stage_memo[k] = (m, stage, stage_measure, g)
+            return found
     raise StageCapExceeded(
         f"no stage within {S.stage_cap} reached measure above {threshold};"
         " the measure approximator is broken"
@@ -239,6 +245,10 @@ def _approx_escape(
     k_start: int,
     k_max: int,
 ) -> EscapeTranscript:
+    if k_start < 1:
+        raise ValueError(f"k_start must be at least 1, got {k_start}")
+    if k_max < k_start:
+        raise ValueError(f"k_max {k_max} is below k_start {k_start}")
     # Trust the approximator for the precondition: some k must witness
     # a total measure strictly below 1.
     witnessed = False

@@ -1,29 +1,35 @@
 """Discrete-log and Diffie-Hellman experiments with exact probabilities.
 
-Success probabilities are computed by enumerating every lever of
-randomness — the encoding function, the prime (or fixed modulus), the
-hidden exponents, and the whole coin tape — and counting hits as exact
-rationals.  An "n-bit prime" is a prime in [2**(n-1), 2**n), so n = 2
-gives {2, 3} and n = 3 gives {5, 7}.
+Success probabilities average over every lever of randomness — the
+encoding function, the prime (or fixed modulus), the hidden exponents,
+and the whole coin tape — as exact rationals.  An "n-bit prime" is a
+prime in [2**(n-1), 2**n), so n = 2 gives {2, 3} and n = 3 gives {5, 7}.
 
-Enumerating encoding functions is factorial in 2**n; the exhaustive path
-is capped at width 3 (40320 permutations) unless the caller raises the
-cap explicitly.  The sampled path draws encodings from a seeded RNG and
-is deterministic per seed.
+A program's path and query count depend on the encoding only through
+handle equality, so each (modulus, hidden values, coins) instance is run
+once, without an encoding, into an instance plan; a run's win then
+depends on at most one table entry sigma(z) == t.  Exhaustive averages
+and the fixed-modulus audit follow from the plan in closed form, because
+each sigma(z) is uniform on 2**n values; they enumerate no encodings.
+The exhaustive path is still capped at width 3 (40320 permutations)
+unless the caller raises the cap explicitly.  The sampled path draws
+encodings from a seeded RNG, evaluates the plan on each by integer
+lookups, and is deterministic per seed.
 
-Each enumeration is a pure fold over its index grid: per-instance terms
-are exact rationals summed associatively, so the grid may be partitioned
-across workers without changing any result.  The machine itself runs
-single-threaded per execution.
+``dlog_success_for_sigma``, ``cdh_success_for_sigma`` and
+``success_vector(method="naive")`` rerun the reference-checked
+interpreter ``run_generic`` per encoding; they are the independent path
+the plan is tested against.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cylinder import EncodingFunction, all_encodings, encf_count
 from .vm import GenericProgram, RunResult, coin_tapes, run_generic, run_symbolic
@@ -137,10 +143,7 @@ def dlog_success_for_sigma(
     prog: GenericProgram, n: int, sigma: EncodingFunction
 ) -> Fraction:
     """Exact success of the discrete-log experiment at one fixed encoding."""
-    primes = nbit_primes(n)
-    if not primes:
-        raise ValueError(f"no {n}-bit prime exists; need n >= 2")
-    success, _ = _success_over_instances(prog, sigma, primes, _dlog_wins)
+    success, _ = _success_over_instances(prog, sigma, _primes(n), _dlog_wins)
     return success
 
 
@@ -148,65 +151,132 @@ def cdh_success_for_sigma(
     prog: GenericProgram, n: int, sigma: EncodingFunction
 ) -> Fraction:
     """Exact success of the Diffie-Hellman experiment at one fixed encoding."""
-    primes = nbit_primes(n)
-    if not primes:
-        raise ValueError(f"no {n}-bit prime exists; need n >= 2")
 
     def wins(res: RunResult, N: int, hidden: tuple) -> bool:
         return res.output == _cdh_target(sigma, N, *hidden)
 
-    success, _ = _success_over_instances(prog, sigma, primes, wins)
+    success, _ = _success_over_instances(prog, sigma, _primes(n), wins)
     return success
+
+
+def _primes(n: int) -> tuple[int, ...]:
+    primes = nbit_primes(n)
+    if not primes:
+        raise ValueError(f"no {n}-bit prime exists; need n >= 2")
+    return primes
+
+
+def _check_cap(n: int, exhaustive_cap: int) -> None:
+    if n > exhaustive_cap:
+        raise ExhaustiveCapExceeded(
+            f"width {n} needs {encf_count(n)} encodings; cap is {exhaustive_cap}"
+        )
+
+
+def _win_entry(experiment: str, kind: str, value: int, N: int, hidden: tuple, top: int):
+    """How one symbolic run wins: outright (a bool) or as (z, t), iff table[z] == t."""
+    if experiment == "dlog":
+        if kind == "int":
+            return value == hidden[0]
+        z, t = value, hidden[0] - top + 1  # output top + table[value] - 1 must equal x
+    else:
+        z = hidden[0] * hidden[1] % N  # target top + table[z] - 1
+        if kind == "reg":
+            return value == z  # encodings are injective
+        t = value - top + 1
+    return (z, t) if 0 <= t < top else False
+
+
+@dataclass(frozen=True)
+class _InstancePlan:
+    """One question's (modulus, hidden values, coins) instances, each run once.
+
+    Paths and query counts cannot depend on the encoding, and a run's win
+    depends on at most one table entry.  Per-modulus hit counts are scaled
+    to the common denominator ``den`` (lcm of the per-modulus instance
+    counts, times the number of moduli), so success at the encoding with
+    table ``t`` is ``(base + sum(weights[z].get(t[z], 0))) / den``.
+    """
+
+    width: int
+    base: int
+    weights: dict[int, dict[int, int]]  # z -> t -> scaled count of wins needing t[z] == t
+    den: int
+    max_queries: int
+
+    def hits(self, table: Sequence[int]) -> int:
+        """Success numerator over ``den`` at one encoding table."""
+        num = self.base
+        for z, row in self.weights.items():
+            num += row.get(table[z], 0)
+        return num
+
+    def average(self) -> Fraction:
+        """Exact mean over all encodings; each table[z] is uniform on 2**width values."""
+        size = 1 << self.width
+        entries = sum(sum(row.values()) for row in self.weights.values())
+        return Fraction(self.base * size + entries, self.den * size)
+
+
+def _instance_plan(
+    prog: GenericProgram, n: int, moduli: Sequence[int], experiment: str
+) -> _InstancePlan:
+    tapes = list(coin_tapes(prog.coin_count))
+    top = 1 << n
+    grid = [(N, list(_hidden_tuples(prog, N))) for N in moduli]
+    common = math.lcm(*(len(hiddens) for _, hiddens in grid)) * len(tapes)
+    base = max_queries = 0
+    weights: dict[int, dict[int, int]] = {}
+    for N, hiddens in grid:
+        scale = common // (len(hiddens) * len(tapes))
+        for hidden in hiddens:
+            inputs = (1 % N, *hidden)
+            for coins in tapes:
+                kind, value, queries = run_symbolic(prog, N, inputs, coins)
+                if queries > max_queries:
+                    max_queries = queries
+                entry = _win_entry(experiment, kind, value, N, hidden, top)
+                if isinstance(entry, tuple):
+                    row = weights.setdefault(entry[0], {})
+                    row[entry[1]] = row.get(entry[1], 0) + scale
+                else:
+                    base += entry * scale
+    return _InstancePlan(n, base, weights, common * len(moduli), max_queries)
 
 
 def _ggm_average(
     prog: GenericProgram,
     n: int,
-    wins_factory,
+    experiment: str,
     mode: str,
     seed: int | None,
     samples: int,
     exhaustive_cap: int,
 ) -> ExperimentResult:
-    primes = nbit_primes(n)
-    if not primes:
-        raise ValueError(f"no {n}-bit prime exists; need n >= 2")
-    max_queries = 0
-    values: list[Fraction] = []
+    primes = _primes(n)
     if mode == "exhaustive":
-        if n > exhaustive_cap:
-            raise ExhaustiveCapExceeded(
-                f"width {n} needs {encf_count(n)} encodings; cap is {exhaustive_cap}"
-            )
-        sigmas: Iterable[EncodingFunction] = all_encodings(n)
-        trials = f"exhaustive:{encf_count(n)}"
-    elif mode == "sample":
-        if seed is None:
-            raise ValueError("sampled mode requires a seed")
-        rng = random.Random(seed)
-        size = 2**n
-
-        def draw():
-            for _ in range(samples):
-                table = list(range(size))
-                rng.shuffle(table)
-                yield EncodingFunction(n, tuple(table))
-
-        sigmas = draw()
-        trials = f"sample:seed={seed},count={samples}"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    for sigma in sigmas:
-        success, queries = _success_over_instances(
-            prog, sigma, primes, wins_factory(sigma)
+        _check_cap(n, exhaustive_cap)
+        plan = _instance_plan(prog, n, primes, experiment)
+        return ExperimentResult(
+            plan.average(), plan.max_queries, f"exhaustive:{encf_count(n)}"
         )
-        values.append(success)
-        if queries > max_queries:
-            max_queries = queries
+    if mode != "sample":
+        raise ValueError(f"unknown mode {mode!r}")
+    if seed is None:
+        raise ValueError("sampled mode requires a seed")
+    if samples < 1:
+        raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
+    plan = _instance_plan(prog, n, primes, experiment)
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        table = list(range(1 << n))
+        rng.shuffle(table)
+        hits += plan.hits(table)
     return ExperimentResult(
-        success=sum(values, Fraction(0)) / len(values),
-        max_queries=max_queries,
-        trials=trials,
+        Fraction(hits, plan.den * samples),
+        plan.max_queries,
+        f"sample:seed={seed},count={samples}",
     )
 
 
@@ -219,9 +289,7 @@ def dlog_success_ggm(
     exhaustive_cap: int = EXHAUSTIVE_WIDTH_CAP,
 ) -> ExperimentResult:
     """Success of the discrete-log experiment averaged over encodings."""
-    return _ggm_average(
-        prog, n, lambda sigma: _dlog_wins, mode, seed, samples, exhaustive_cap
-    )
+    return _ggm_average(prog, n, "dlog", mode, seed, samples, exhaustive_cap)
 
 
 def cdh_success_ggm(
@@ -233,14 +301,7 @@ def cdh_success_ggm(
     exhaustive_cap: int = EXHAUSTIVE_WIDTH_CAP,
 ) -> ExperimentResult:
     """Success of the Diffie-Hellman experiment averaged over encodings."""
-
-    def factory(sigma: EncodingFunction):
-        def wins(res: RunResult, N: int, hidden: tuple) -> bool:
-            return res.output == _cdh_target(sigma, N, *hidden)
-
-        return wins
-
-    return _ggm_average(prog, n, factory, mode, seed, samples, exhaustive_cap)
+    return _ggm_average(prog, n, "cdh", mode, seed, samples, exhaustive_cap)
 
 
 @dataclass(frozen=True)
@@ -284,24 +345,10 @@ def shoup_audit(
     """
     if not 2 <= N <= 2**n - 1:
         raise ValueError(f"need 2 <= N <= 2**n - 1, got N={N} at n={n}")
-    if n > exhaustive_cap:
-        raise ExhaustiveCapExceeded(
-            f"width {n} needs {encf_count(n)} encodings; cap is {exhaustive_cap}"
-        )
-    total = Fraction(0)
-    max_queries = 0
-    cdh_shaped = prog.n_inputs == 3
-    for sigma in all_encodings(n):
-        if cdh_shaped:
-            def wins(res, modulus, hidden, _sigma=sigma):
-                return res.output == _cdh_target(_sigma, modulus, *hidden)
-        else:
-            wins = _dlog_wins
-        success, queries = _success_over_instances(prog, sigma, (N,), wins)
-        total += success
-        if queries > max_queries:
-            max_queries = queries
-    success = total / encf_count(n)
+    _check_cap(n, exhaustive_cap)
+    experiment = "cdh" if prog.n_inputs == 3 else "dlog"
+    plan = _instance_plan(prog, n, (N,), experiment)
+    success, max_queries = plan.average(), plan.max_queries
     p = largest_prime_factor(N)
     bound = Fraction(C * max_queries * max_queries, p)
     return AuditResult(success, bound, success <= bound, max_queries, p)
@@ -315,11 +362,12 @@ def success_vector(
 ) -> tuple[Fraction, ...]:
     """Per-encoding success, in lexicographic encoding order.
 
-    The fast path runs each (prime, hidden values, coins) instance once
-    without an encoding — paths in this machine cannot depend on one —
-    and resolves the encoding-sensitive output comparisons per encoding
-    afterwards.  The naive path reruns the full interpreter per encoding;
-    both must agree, and the tests hold them to that.
+    The fast path evaluates the instance plan — every (prime, hidden
+    values, coins) instance run once without an encoding — on each
+    encoding table by integer lookups, and builds one Fraction per
+    encoding over the common denominator.  The naive path reruns the full
+    interpreter per encoding; both must agree, and the tests hold them to
+    that.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -328,52 +376,8 @@ def success_vector(
         return tuple(per(prog, n, sigma) for sigma in all_encodings(n))
     if method != "fast":
         raise ValueError(f"unknown method {method!r}")
-    primes = nbit_primes(n)
-    if not primes:
-        raise ValueError(f"no {n}-bit prime exists; need n >= 2")
-    tapes = list(coin_tapes(prog.coin_count))
-    top = 1 << n
-    plans = []
-    for p in primes:
-        base = 0
-        matches: dict[tuple[int, int], int] = {}
-        denom = 0
-        for hidden in _hidden_tuples(prog, p):
-            inputs = (1 % p, *hidden)
-            for coins in tapes:
-                kind, value, _ = run_symbolic(prog, p, inputs, coins)
-                denom += 1
-                if experiment == "dlog":
-                    x = hidden[0]
-                    if kind == "int":
-                        base += value == x
-                    else:
-                        target = x - top + 1  # table value making the output equal x
-                        if 0 <= target < top:
-                            key = (value, target)
-                            matches[key] = matches.get(key, 0) + 1
-                else:
-                    z = hidden[0] * hidden[1] % p
-                    if kind == "int":
-                        target = value - top + 1
-                        if 0 <= target < top:
-                            key = (z, target)
-                            matches[key] = matches.get(key, 0) + 1
-                    else:
-                        base += value == z
-        plans.append((base, matches, denom))
-    out = []
-    for sigma in all_encodings(n):
-        table = sigma.table
-        total = Fraction(0)
-        for base, match_map, denom in plans:
-            hits = base
-            for (z, target), cnt in match_map.items():
-                if table[z] == target:
-                    hits += cnt
-            total += Fraction(hits, denom)
-        out.append(total / len(primes))
-    return tuple(out)
+    plan = _instance_plan(prog, n, _primes(n), experiment)
+    return tuple(Fraction(plan.hits(sigma.table), plan.den) for sigma in all_encodings(n))
 
 
 def minimal_shoup_constant(

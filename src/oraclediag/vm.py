@@ -20,6 +20,8 @@ their discrete logs, consulting sigma only at the output boundary; it is
 exact and fast.  ``run_generic_reference`` carries literal encoding
 strings through a :class:`GroupOracle` and validates every oracle call;
 it exists so the fast path can be checked against an independent one.
+``run_symbolic`` runs the same loop without any encoding and reports the
+output handle itself; the experiments build their instance plans on it.
 """
 
 from __future__ import annotations
@@ -196,8 +198,12 @@ def run_symbolic(
     ('int', natural) for out_int or ('reg', element value) for out_reg;
     the caller applies an encoding afterwards if it needs one.
     """
+    if N < 1:
+        raise ValueError(f"modulus must be at least 1, got {N}")
     if len(inputs) != prog.n_inputs:
         raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
+    if any(not 0 <= x < N for x in inputs):
+        raise ValueError("inputs must be group elements in Z_N")
     instrs = prog.instructions
     regs: list[int] = []
     ip = 0

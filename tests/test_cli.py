@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oraclediag
 from oraclediag.cli import main
 
 
@@ -100,6 +105,31 @@ class TestExperiments:
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dlog", "--prog", "const_guess:0", "--n", "1"],
+            ["dlog", "--prog", "const_guess:0", "--n", "4"],
+            ["dlog", "--prog", "const_guess:0", "--n", "3", "--N", "9"],
+            ["dlog", "--prog", "const_guess:0", "--n", "2", "--mode", "sample",
+             "--seed", "1", "--samples", "0"],
+            ["cdh", "--prog", "cdh_echo", "--n", "2", "--mode", "sample",
+             "--seed", "1", "--samples", "-3"],
+        ],
+        ids=["n1", "n4", "N9", "samples0", "samples-3"],
+    )
+    def test_bad_inputs_are_usage_errors(self, argv):
+        src = Path(oraclediag.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "oraclediag.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error:")
 
 
 class TestDiagonalize:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -144,6 +146,21 @@ class TestConditionalApprox:
         with pytest.raises(StageCapExceeded):
             conditional_measure_approx(liar, "0", 4)
 
+    def test_stage_search_is_memoized_on_the_set_only(self):
+        asked = []
+        half = EnumeratedOpenSet(
+            kind="binary",
+            stages=lambda m: asked.append(m) or frozenset({"0"}),
+            measure_approx=lambda k: Fraction(1, 2),
+        )
+        values = [conditional_measure_approx(half, t, 6) for t in ("0", "1", "0")]
+        assert values == [Fraction(1, 2), 0, Fraction(1, 2)]
+        assert asked == [1]  # one stage search per precision
+        ref = weakref.ref(half)
+        del half
+        gc.collect()
+        assert ref() is None  # no cache keeps a finished open set alive
+
 
 class TestEscapeBinary:
     def test_avoids_single_cell(self):
@@ -271,6 +288,16 @@ def test_escape_is_deterministic():
         assert escape_binary(members, depth=4, mode="approx") == escape_binary(
             members, depth=4, mode="approx"
         )
+
+
+@pytest.mark.parametrize("k_start,k_max", [(0, 128), (-2, 8), (8, 4)])
+@pytest.mark.parametrize(
+    "escape,members", [(escape_binary, {"00"}), (escape_family, {(E1[0],)})]
+)
+def test_approx_escape_rejects_bad_precisions(escape, members, k_start, k_max):
+    with pytest.raises(ValueError, match="k_start"):
+        escape(members, depth=1, mode="approx", k_start=k_start, k_max=k_max)
+    assert escape(members, depth=1, mode="approx").prefix  # defaults still escape
 
 
 def test_stages_under_approximate_the_total():

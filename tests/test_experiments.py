@@ -16,9 +16,11 @@ from oraclediag.experiments import (
     success_vector,
 )
 from oraclediag.programs import (
+    build_program,
     cdh_const_guess,
     cdh_echo,
     cdh_invalid,
+    cdh_pin_table,
     const_guess,
     invalid_guess,
     linear_search,
@@ -227,3 +229,117 @@ def test_success_vector_fast_matches_naive(prog, experiment):
     assert success_vector(prog, 2, experiment, "fast") == success_vector(
         prog, 2, experiment, "naive"
     )
+
+
+REGISTRY_W2 = [
+    build_program(spec, 2)
+    for spec in (
+        "const_guess:0", "const_guess:2", "invalid_guess", "random_guess:1",
+        "random_guess:2", "linear_search:1", "linear_search:3", "bsgs:2",
+        "cdh_echo", "cdh_const_guess:01", "cdh_const_guess:1", "cdh_invalid",
+    )
+] + [cdh_pin_table([(1, "10"), (2, "01")])]
+
+
+def _mean(values):
+    values = list(values)
+    return sum(values, Fraction(0)) / len(values)
+
+
+class TestPlanAgainstNaive:
+    """The closed-form instance plan against per-encoding reruns of run_generic."""
+
+    @pytest.mark.parametrize("prog", REGISTRY_W2, ids=lambda p: p.name)
+    def test_exhaustive_average(self, prog):
+        cdh = prog.n_inputs == 3
+        naive = success_vector(prog, 2, "cdh" if cdh else "dlog", "naive")
+        run = cdh_success_ggm if cdh else dlog_success_ggm
+        assert run(prog, 2).success == _mean(naive)
+
+    @pytest.mark.parametrize("prog", REGISTRY_W2, ids=lambda p: p.name)
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_audit_width2(self, prog, N):
+        assert shoup_audit(prog, 2, N, C=1) == _naive_audit(prog, 2, N, C=1)
+
+    def test_audit_composite_width3(self):
+        prog = cdh_const_guess("011")
+        assert shoup_audit(prog, 3, 4, C=1) == _naive_audit(prog, 3, 4, C=1)
+
+    @pytest.mark.parametrize("prog", [cdh_echo(), REGISTRY_W2[-1]], ids=lambda p: p.name)
+    def test_sampled_matches_per_sigma_mean(self, prog):
+        sampled = cdh_success_ggm(prog, 2, mode="sample", seed=4, samples=12)
+        expected = _mean(cdh_success_for_sigma(prog, 2, s) for s in _sampled_sigmas(2, 4, 12))
+        assert sampled.success == expected
+        assert sampled.trials == "sample:seed=4,count=12"
+
+
+def _naive_audit(prog, n, N, C):
+    """The fixed-modulus audit by enumerating every encoding through run_generic."""
+    from oraclediag.experiments import (
+        AuditResult,
+        _cdh_target,
+        _dlog_wins,
+        _success_over_instances,
+    )
+
+    total, max_queries = Fraction(0), 0
+    for sigma in all_encodings(n):
+        if prog.n_inputs == 3:
+            def wins(res, modulus, hidden, _sigma=sigma):
+                return res.output == _cdh_target(_sigma, modulus, *hidden)
+        else:
+            wins = _dlog_wins
+        success, queries = _success_over_instances(prog, sigma, (N,), wins)
+        total += success
+        max_queries = max(max_queries, queries)
+    success = total / len(all_encodings(n))
+    p = largest_prime_factor(N)
+    bound = Fraction(C * max_queries**2, p)
+    return AuditResult(success, bound, success <= bound, max_queries, p)
+
+
+class TestWorkCounts:
+    """Every (modulus, hidden values, coins) instance runs once, symbolically."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        import oraclediag.experiments as experiments
+
+        seen = []
+        symbolic = experiments.run_symbolic
+
+        def counting(prog, N, inputs, coins=""):
+            seen.append((N, tuple(inputs), coins))
+            return symbolic(prog, N, inputs, coins)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_generic called")
+
+        monkeypatch.setattr(experiments, "run_symbolic", counting)
+        monkeypatch.setattr(experiments, "run_generic", refuse)
+        return seen
+
+    @staticmethod
+    def _instances(prog, moduli):
+        per = 2**prog.coin_count
+        return sum(N ** (prog.n_inputs - 1) * per for N in moduli)
+
+    @pytest.mark.parametrize(
+        "call,prog,moduli",
+        [
+            (lambda p: dlog_success_ggm(p, 3), random_guess(2), (5, 7)),
+            (lambda p: dlog_success_ggm(p, 3, mode="sample", seed=1, samples=5), linear_search(2), (5, 7)),
+            (lambda p: cdh_success_ggm(p, 2), cdh_echo(), (2, 3)),
+            (lambda p: cdh_success_ggm(p, 3, mode="sample", seed=2, samples=5), cdh_const_guess("101"), (5, 7)),
+            (lambda p: shoup_audit(p, 3, 6, C=1), random_guess(1), (6,)),
+            (lambda p: shoup_audit(p, 3, 4, C=1), cdh_echo(), (4,)),
+            (lambda p: success_vector(p, 2, "dlog"), random_guess(1), (2, 3)),
+            (lambda p: success_vector(p, 2, "cdh"), cdh_const_guess("11"), (2, 3)),
+        ],
+        ids=["dlog", "dlog-sample", "cdh", "cdh-sample", "audit", "audit-cdh",
+             "vector", "vector-cdh"],
+    )
+    def test_one_symbolic_run_per_instance(self, runs, call, prog, moduli):
+        call(prog)
+        assert len(runs) == self._instances(prog, moduli)
+        assert len(set(runs)) == len(runs)

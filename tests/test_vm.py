@@ -179,6 +179,17 @@ def test_symbolic_run_matches_concrete():
             assert kind == "int" and value == res.output and queries == res.queries
 
 
+@pytest.mark.parametrize(
+    "N,inputs",
+    [(0, (0, 0)), (-3, (0, 0)), (5, (1, 5)), (5, (-1, 2)), (5, (1,)), (5, (1, 2, 3))],
+)
+def test_symbolic_run_rejects_bad_inputs(N, inputs):
+    for run in (lambda: run_symbolic(const_guess(0), N, inputs),
+                lambda: run_generic(const_guess(0), N, SIGMA, inputs)):
+        with pytest.raises(ValueError):
+            run()
+
+
 def test_declared_query_bounds():
     m, n = 2, 3
     i_max = 2**n // m + 1
