@@ -59,18 +59,18 @@ def _read(path: str) -> str:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
 
 
-def cmd_measure(args) -> int:
+def _parse_set(args) -> frozenset:
     text = _read(args.set_file)
+    parse = cylinder.parse_binary_set if args.kind == "binary" else cylinder.parse_family_set
     try:
-        if args.kind == "binary":
-            members = cylinder.parse_binary_set(text)
-            norm = cylinder.normalize_prefix_free(members)
-        else:
-            members = cylinder.parse_family_set(text)
-            norm = cylinder.normalize_family_prefix_free(members)
+        return parse(text)
     except cylinder.SetFormatError as exc:
         raise _UsageError(str(exc))
-    value = cylinder.measure(norm) if norm else Fraction(0)
+
+
+def cmd_measure(args) -> int:
+    norm = cylinder.normalize_prefix_free(_parse_set(args))
+    value = cylinder.prefix_free_measure(norm, args.kind)
     print(f"members {len(norm)}")
     print(f"{value.numerator}/{value.denominator}")
     return 0
@@ -106,59 +106,48 @@ def cmd_cdh(args) -> int:
 
 
 def cmd_diagonalize(args) -> int:
-    if args.toy_pipeline:
-        report = pipeline.run_pipeline(
-            schedule=args.schedule, depth=args.depth, C=args.C, mode=args.mode
-        )
-        text = report.summary()
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0 if report.verified else 1
-    if not args.set_file:
-        raise _UsageError("diagonalize needs a set file or --toy-pipeline")
-    text = _read(args.set_file)
     try:
-        if args.kind == "binary":
-            members = cylinder.parse_binary_set(text)
-            escape = diagonal.escape_binary
+        if args.toy_pipeline:
+            report = pipeline.run_pipeline(
+                schedule=args.schedule, depth=args.depth, C=args.C, mode=args.mode
+            )
+            out_text, code = report.summary(), 0 if report.verified else 1
         else:
-            members = cylinder.parse_family_set(text)
-            escape = diagonal.escape_family
-    except cylinder.SetFormatError as exc:
+            if not args.set_file:
+                raise _UsageError("diagonalize needs a set file or --toy-pipeline")
+            members = _parse_set(args)
+            # normalized once here; the escape reuses it
+            wrapped = diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
+            total = wrapped.measure_approx(0)  # exact for a finite set
+            if total >= 1:
+                print(
+                    f"refusing: the set has measure {total.numerator}/{total.denominator} >= 1",
+                    file=sys.stderr,
+                )
+                return 1
+            escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
+            transcript = escape(wrapped, depth=args.depth, mode=args.mode)
+            out_text = transcript.to_text()
+            code = 0 if diagonal.verify_escape(transcript.prefix, members) else 1
+    except (diagonal.MeasureTooLargeError, diagonal.ScheduleBoundError):
+        raise  # failed properties, not usage
+    except (ValueError, OSError) as exc:  # bad schedule name, depth or schedule file
         raise _UsageError(str(exc))
-    total = cylinder.measure(members)
-    if total >= 1:
-        print(
-            f"refusing: the set has measure {total.numerator}/{total.denominator} >= 1",
-            file=sys.stderr,
-        )
-        return 1
-    wrapped = (
-        diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
-        if members
-        else diagonal.EnumeratedOpenSet(
-            kind=args.kind,
-            stages=lambda m: frozenset(),
-            measure_approx=lambda k: Fraction(0),
-            stage_cap=1,
-        )
-    )
-    transcript = escape(wrapped, depth=args.depth, mode=args.mode)
-    out_text = transcript.to_text()
     if args.out:
         Path(args.out).write_text(out_text)
     else:
         sys.stdout.write(out_text)
-    return 0 if diagonal.verify_escape(transcript.prefix, members) else 1
+    return code
 
 
 def _base_schedule(args) -> Schedule:
     if args.schedule == "paper":
         return Schedule.dlog_paper(args.C)
     if args.schedule.startswith("file:"):
-        return load_schedule_table(args.schedule[5:])
+        try:
+            return load_schedule_table(args.schedule[5:])
+        except (ValueError, OSError) as exc:
+            raise _UsageError(str(exc))
     raise _UsageError(f"unknown schedule {args.schedule!r} (use paper or file:PATH)")
 
 
@@ -275,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except diagonal.MeasureTooLargeError as exc:
+    except (diagonal.MeasureTooLargeError, diagonal.ScheduleBoundError) as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return 1
 

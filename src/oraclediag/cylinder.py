@@ -16,6 +16,14 @@ string is the empty prefix).  Family prefixes are tuples of
 :class:`EncodingFunction` with widths 1, 2, ..., len in order.  All
 measures are :class:`fractions.Fraction`; nothing here rounds.
 
+Measures run on one integer kernel.  Normalization tests each member
+only at the member lengths that occur in the set, so its cost follows
+the number of distinct lengths, not the longest member; a set of one
+length is already prefix-free.  A prefix-free set is then measured as
+integer counts per length over one denominator, the cell count ``den``
+of its longest member (``2**len`` for bit strings, ``prod((2**k)!)`` for
+family prefixes): one ``Fraction`` per set, not one per member.
+
 Every value is immutable after construction and every operation is a
 pure function, so concurrent callers can share inputs freely.
 """
@@ -23,6 +31,7 @@ pure function, so concurrent callers can share inputs freely.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -126,13 +135,6 @@ def all_encodings(n: int) -> tuple[EncodingFunction, ...]:
     )
 
 
-def validate_family_prefix(s: FamilyPrefix) -> FamilyPrefix:
-    for k, enc in enumerate(s, start=1):
-        if not isinstance(enc, EncodingFunction) or enc.n != k:
-            raise ValueError(f"entry {k} must be an encoding function of width {k}")
-    return s
-
-
 def is_binary_prefix_of(s: Bits, t: Bits) -> bool:
     return t.startswith(s)
 
@@ -155,13 +157,25 @@ def _is_prefix_of(s, t) -> bool:
 
 
 def _normalize(members: Iterable) -> frozenset:
-    """Drop every member that has a proper prefix in the set."""
-    pool = frozenset(members)
+    """Drop every member that has a proper prefix in the set.
+
+    Only the member lengths that occur can hold such a prefix, so each
+    member is tested at the shorter occurring lengths alone.  Returns the
+    input frozenset itself when nothing is dropped.
+    """
+    pool = members if isinstance(members, frozenset) else frozenset(members)
+    lengths = sorted(set(map(len, pool)))
+    if len(lengths) < 2:
+        return pool
+    shorter = {length: lengths[:i] for i, length in enumerate(lengths)}
     kept = []
     for s in pool:
-        if not any(s[:i] in pool for i in range(len(s))):
+        for i in shorter[len(s)]:
+            if s[:i] in pool:
+                break
+        else:
             kept.append(s)
-    return frozenset(kept)
+    return pool if len(kept) == len(pool) else frozenset(kept)
 
 
 def normalize_prefix_free(strings: Iterable[Bits]) -> frozenset[Bits]:
@@ -174,6 +188,31 @@ def normalize_family_prefix_free(prefixes: Iterable[FamilyPrefix]) -> frozenset[
     return _normalize(prefixes)
 
 
+def kind_of(members: Iterable, expected: str | None = None) -> str | None:
+    """``"binary"`` or ``"family"``; ``expected`` (or None) for the empty set.
+
+    Every member is looked at, so a set mixing bit strings and family
+    prefixes, or a set of the other kind than ``expected``, is refused.
+    """
+    types = set(map(type, members))
+    kind = "binary" if types == {str} else "family" if types == {tuple} else None
+    if types and kind is None:
+        raise KindMismatchError("a set must hold only bit strings or only family prefixes")
+    if expected is not None and kind not in (None, expected):
+        raise KindMismatchError(f"expected a {expected} set, got a {kind} set")
+    return kind or expected
+
+
+def cell_den(kind: str, length: int) -> int:
+    """Number of cells of one length, i.e. the inverse of their volume."""
+    if kind == "binary":
+        return 2**length
+    den = 1
+    for k in range(1, length + 1):
+        den *= encf_count(k)
+    return den
+
+
 def binary_cell_volume(s: Bits) -> Fraction:
     return Fraction(1, 2 ** len(s))
 
@@ -183,35 +222,66 @@ def family_cell_volume(s: FamilyPrefix) -> Fraction:
 
     The empty prefix spans the whole space and has volume 1.
     """
-    den = 1
-    for k in range(1, len(s) + 1):
-        den *= encf_count(k)
-    return Fraction(1, den)
+    return Fraction(1, cell_den("family", len(s)))
 
 
 def cell_volume(s) -> Fraction:
     return binary_cell_volume(s) if isinstance(s, str) else family_cell_volume(s)
 
 
+def length_weights(lengths: Iterable[int], kind: str) -> tuple[int, dict[int, int]]:
+    """``den(top)`` and, per length, the integer mass of one cell of it.
+
+    ``top`` is the longest of the lengths, so every weight
+    ``den(top) // den(length)`` is exact.
+    """
+    lengths = set(lengths)
+    den = cell_den(kind, max(lengths, default=0))
+    return den, {length: den // cell_den(kind, length) for length in lengths}
+
+
+def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
+    """Measure of a set its caller already made prefix-free.
+
+    Counts members per length and adds the counts over one denominator.
+    """
+    kind = kind_of(norm, kind)
+    counts = Counter(map(len, norm))
+    if not counts:
+        return ZERO
+    den, weight = length_weights(counts, kind)
+    return Fraction(sum(count * weight[length] for length, count in counts.items()), den)
+
+
 def binary_measure(strings: Iterable[Bits]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of bit strings."""
-    return sum((binary_cell_volume(s) for s in _normalize(strings)), ZERO)
+    return prefix_free_measure(_normalize(strings), "binary")
 
 
 def family_measure(prefixes: Iterable[FamilyPrefix]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of family prefixes."""
-    return sum((family_cell_volume(s) for s in _normalize(prefixes)), ZERO)
+    return prefix_free_measure(_normalize(prefixes), "family")
 
 
 def measure(members: Iterable) -> Fraction:
-    """Measure of a cylinder set of either kind (dispatch on member type)."""
-    pool = frozenset(members)
-    if not pool:
-        return ZERO
-    sample = next(iter(pool))
-    if isinstance(sample, str):
-        return binary_measure(pool)
-    return family_measure(pool)
+    """Measure of a cylinder set of either kind; a mixed set is refused."""
+    return prefix_free_measure(_normalize(members))
+
+
+def cell_mass(members: frozenset, t) -> Fraction:
+    """Mass of a set of the same kind as ``t`` inside the cell of ``t``.
+
+    Only the members inside the cell are normalized: a proper prefix of
+    one of them either lies inside too or covers the whole cell.
+    """
+    kind = "binary" if isinstance(t, str) else "family"
+    if any(t[:i] in members for i in range(len(t) + 1)):
+        return Fraction(1, cell_den(kind, len(t)))
+    if kind == "binary":
+        inside = [s for s in members if s.startswith(t)]
+    else:
+        inside = [s for s in members if s[: len(t)] == t]
+    return prefix_free_measure(_normalize(inside), kind)
 
 
 def intersect_with_cell(members: Iterable, t) -> frozenset:

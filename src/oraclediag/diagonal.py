@@ -29,18 +29,20 @@ from .cylinder import (
     FamilyPrefix,
     KindMismatchError,
     _is_prefix_of,
+    _normalize,
     all_encodings,
+    cell_den,
+    cell_mass,
     cell_volume,
     family_prefixes_of_length,
     format_family_set,
+    kind_of,
+    length_weights,
     measure,
-    normalize_family_prefix_free,
-    normalize_prefix_free,
+    prefix_free_measure,
 )
 from .numbering import phi_escape
 from .schedules import Schedule
-
-ZERO = Fraction(0)
 
 
 class MeasureTooLargeError(ValueError):
@@ -75,6 +77,9 @@ class EnumeratedOpenSet:
     description: str = ""
     # precision k -> _stage_for result; lives and dies with this set
     _stage_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # stage index m -> _stage_view result, for a stage made prefix-free
+    # and measured when the set was built (from_finite)
+    _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("binary", "family"):
@@ -82,37 +87,43 @@ class EnumeratedOpenSet:
 
     @classmethod
     def from_finite(cls, members: Iterable, kind: str | None = None) -> "EnumeratedOpenSet":
+        """One-stage set of the members made prefix-free; its approximator is exact."""
         members = frozenset(members)
+        norm = _normalize(members)
+        kind = kind_of(norm, kind)
         if kind is None:
-            if not members:
-                raise ValueError("cannot infer the kind of an empty set")
-            kind = "binary" if isinstance(next(iter(members)), str) else "family"
-        exact = measure(members)
-        return cls(
+            raise ValueError("cannot infer the kind of an empty set")
+        exact = prefix_free_measure(norm, kind)
+        S = cls(
             kind=kind,
-            stages=lambda m: members,
+            stages=lambda m: norm,
             measure_approx=lambda k: exact,
             stage_cap=1,
             description=f"finite[{len(members)}]",
         )
+        S._stages[1] = (norm, norm, exact)
+        return S
 
 
 def conditional_measure_exact(members: Iterable, t) -> Fraction:
     """Exact mass of the open set inside the cell of t."""
     members = frozenset(members)
-    if members:
-        sample = next(iter(members))
-        if isinstance(sample, str) != isinstance(t, str):
-            raise KindMismatchError("set members and prefix have different kinds")
-    norm = normalize_prefix_free(members) if isinstance(t, str) else (
-        normalize_family_prefix_free(members)
-    )
-    if any(_is_prefix_of(s, t) for s in norm):
-        return cell_volume(t)
-    return sum(
-        (cell_volume(s) for s in norm if _is_prefix_of(t, s)),
-        ZERO,
-    )
+    kind_of(members, "binary" if isinstance(t, str) else "family")  # refuses mixed kinds
+    return cell_mass(members, t)
+
+
+def _stage_view(S: EnumeratedOpenSet, m: int) -> tuple[frozenset, frozenset, Fraction]:
+    """Stage m as given, made prefix-free, and its measure.
+
+    A finite set's stage was made prefix-free and measured when the set
+    was built; any other stage is normalized here.
+    """
+    found = S._stages.get(m)
+    if found is None:
+        stage = S.stages(m)
+        norm = _normalize(stage)
+        found = (stage, norm, prefix_free_measure(norm, S.kind))
+    return found
 
 
 def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, Fraction]:
@@ -130,9 +141,10 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, 
     g = S.measure_approx(k)
     threshold = g - Fraction(1, 2**k)
     for m in range(1, S.stage_cap + 1):
-        stage = S.stages(m)
-        stage_measure = measure(stage)
+        stage, _, stage_measure = _stage_view(S, m)
         if stage_measure > threshold:
+            # the memo keeps the stage as given: cell_mass needs no
+            # prefix-free copy, which would live as long as the set
             found = S._stage_memo[k] = (m, stage, stage_measure, g)
             return found
     raise StageCapExceeded(
@@ -144,7 +156,7 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, 
 def conditional_measure_approx(S: EnumeratedOpenSet, t, k: int) -> Fraction:
     """Rational within 2**-k of the mass of the set inside the cell of t."""
     _, stage, stage_measure, g = _stage_for(S, k)
-    return g - (stage_measure - conditional_measure_exact(stage, t))
+    return g - (stage_measure - cell_mass(stage, t))
 
 
 # ---------------------------------------------------------------------------
@@ -201,40 +213,34 @@ def _extend(prefix, tau):
 
 
 def _exact_escape(S: EnumeratedOpenSet, depth: int, candidates_at) -> EscapeTranscript:
-    total = (
-        normalize_prefix_free(S.stages(S.stage_cap))
-        if S.kind == "binary"
-        else normalize_family_prefix_free(S.stages(S.stage_cap))
-    )
-    total_measure = measure(total)
+    _, total, total_measure = _stage_view(S, S.stage_cap)
     if total_measure >= 1:
         raise MeasureTooLargeError(f"open set has measure {total_measure} >= 1")
+    # integer masses over the common denominator den: a member of length L
+    # weighs den // den(L), a cell at depth level + 1 holds den // den(level + 1)
+    den, weight = length_weights(map(len, total), S.kind)
     prefix = "" if S.kind == "binary" else ()
     restricted = total
     steps: list[EscapeStep] = []
     for level in range(depth):
-        buckets: dict[object, Fraction] = {}
+        buckets: dict[object, int] = {}
         for s in restricted:
             key = s[level]
-            buckets[key] = buckets.get(key, ZERO) + cell_volume(s)
-        chosen = None
+            buckets[key] = buckets.get(key, 0) + weight[len(s)]
+        level_den = cell_den(S.kind, level + 1)
         candidates = candidates_at(level)
         for idx, tau in enumerate(candidates):
-            trapped = buckets.get(tau, ZERO)
-            cell = cell_volume(_extend(prefix, tau))
-            if trapped < cell:
-                chosen = (idx, tau, trapped, cell)
+            if buckets.get(tau, 0) * level_den < den:  # trapped < cell
                 break
-        if chosen is None:
+        else:
             raise EscapeContractViolation(
                 f"no candidate at depth {level + 1} satisfies the strict inequality"
             )
-        idx, tau, trapped, cell = chosen
         prefix = _extend(prefix, tau)
-        restricted = frozenset(
-            s for s in restricted if len(s) > level and s[: level + 1] == prefix
-        )
-        steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, cell))
+        # a kept member cannot end at this level: it would fill the cell
+        restricted = [s for s in restricted if s[level] == tau]
+        trapped = Fraction(buckets.get(tau, 0), den)
+        steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, Fraction(1, level_den)))
     return EscapeTranscript(S.kind, "exact", prefix, tuple(steps))
 
 
@@ -294,6 +300,19 @@ def _approx_escape(
     return EscapeTranscript(S.kind, "approx", prefix, tuple(steps))
 
 
+def _escape(
+    S, kind: str, depth: int, mode: str, candidates_at, k_start: int, k_max: int
+) -> EscapeTranscript:
+    if depth < 0:
+        raise ValueError(f"depth must be at least 0, got {depth}")
+    if mode not in ("exact", "approx"):
+        raise ValueError(f"unknown mode {mode!r}")
+    S = _coerce(S, kind)
+    if mode == "exact":
+        return _exact_escape(S, depth, candidates_at)
+    return _approx_escape(S, depth, candidates_at, k_start, k_max)
+
+
 def escape_binary(
     S,
     depth: int,
@@ -302,13 +321,7 @@ def escape_binary(
     k_max: int = 128,
 ) -> EscapeTranscript:
     """Prefix of the requested depth escaping a binary open set."""
-    S = _coerce(S, "binary")
-    candidates_at = lambda level: ("0", "1")
-    if mode == "exact":
-        return _exact_escape(S, depth, candidates_at)
-    if mode == "approx":
-        return _approx_escape(S, depth, candidates_at, k_start, k_max)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _escape(S, "binary", depth, mode, lambda level: ("0", "1"), k_start, k_max)
 
 
 FAMILY_DEPTH_CAP = 3
@@ -328,13 +341,8 @@ def escape_family(
     """
     if depth > FAMILY_DEPTH_CAP:
         raise ValueError(f"family escape depth capped at {FAMILY_DEPTH_CAP}")
-    S = _coerce(S, "family")
     candidates_at = lambda level: all_encodings(level + 1)
-    if mode == "exact":
-        return _exact_escape(S, depth, candidates_at)
-    if mode == "approx":
-        return _approx_escape(S, depth, candidates_at, k_start, k_max)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _escape(S, "family", depth, mode, candidates_at, k_start, k_max)
 
 
 def verify_escape(prefix, members: Iterable) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .cylinder import Bits, normalize_prefix_free
+from .cylinder import Bits, all_bit_strings, normalize_prefix_free
 from .numbering import cantor_pair, cantor_unpair, nat_to_string, string_to_nat
 
 
@@ -242,15 +242,18 @@ class ConstraintPattern:
             raise InfeasibleSizeError(
                 f"2**{self.free_bits} strings would exceed the cap {cap}"
             )
+        return frozenset(self._strings())
+
+    def _strings(self) -> Iterator[Bits]:
+        """Every string of the pattern, without a size guard."""
+        # one segment per run of positions: a pinned run is one fixed
+        # string, a free run of r bits is every r-bit string
         pinned = dict(self.pins)
-        free = [i for i in range(self.length) if i not in pinned]
-        out = []
-        for bits in itertools.product("01", repeat=len(free)):
-            chars = [pinned.get(i, "") for i in range(self.length)]
-            for pos, bit in zip(free, bits):
-                chars[pos] = bit
-            out.append("".join(chars))
-        return frozenset(out)
+        segments = [
+            ["".join(pinned[i] for i in run)] if is_pinned else all_bit_strings(len(list(run)))
+            for is_pinned, run in itertools.groupby(range(self.length), key=pinned.__contains__)
+        ]
+        return map("".join, itertools.product(*segments))
 
 
 def pattern_set_measure(patterns: Sequence[ConstraintPattern]) -> Fraction:
@@ -335,10 +338,7 @@ def build_constraint_strings(
             f"{total} strings would exceed the cap {max_strings};"
             " use build_constraint_patterns for the compact form"
         )
-    out: set[Bits] = set()
-    for p in patterns:
-        out |= p.expand(cap=max_strings)
-    return frozenset(out)
+    return frozenset(itertools.chain.from_iterable(p._strings() for p in patterns))
 
 
 def rom_testset_measure(n: int, q: int, ell: EllPoly, bad_count: int) -> Fraction:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import oraclediag
+from oraclediag import cylinder, diagonal
 from oraclediag.cli import main
 
 
@@ -14,6 +15,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(argv):
+    """Run the CLI in a fresh interpreter: exit 2, one error line, no traceback."""
+    src = Path(oraclediag.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "oraclediag.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error:")
 
 
 class TestMeasure:
@@ -121,15 +135,7 @@ class TestExperiments:
         ids=["n1", "n4", "N9", "samples0", "samples-3"],
     )
     def test_bad_inputs_are_usage_errors(self, argv):
-        src = Path(oraclediag.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-m", "oraclediag.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 2
-        assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("error:")
+        assert_usage_error(argv)
 
 
 class TestDiagonalize:
@@ -167,6 +173,48 @@ class TestDiagonalize:
     def test_missing_input(self, capsys):
         code, _, err = run_cli(capsys, "diagonalize")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["diagonalize", "--toy-pipeline", "--schedule", "bogus"],
+            ["diagonalize", "--toy-pipeline", "--schedule", "file:{missing}"],
+            ["diagonalize", "{set}", "--depth", "-2"],
+            ["diagonalize", "{set}", "--depth", "-1", "--mode", "approx"],
+            ["schedule", "--k", "1", "--d", "2", "--schedule", "file:{missing}"],
+        ],
+        ids=["schedule-bogus", "schedule-missing-file", "depth-2", "depth-1-approx",
+             "schedule-cmd-missing-file"],
+    )
+    def test_bad_inputs_are_usage_errors(self, tmp_path, argv):
+        path = tmp_path / "set.txt"
+        path.write_text("0\n")
+        missing = tmp_path / "missing.txt"
+        assert_usage_error([a.format(set=path, missing=missing) for a in argv])
+
+    def test_each_set_file_is_normalized_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        original = cylinder._normalize
+
+        def counting(members):
+            calls.append(len(members))
+            return original(members)
+
+        monkeypatch.setattr(cylinder, "_normalize", counting)
+        monkeypatch.setattr(diagonal, "_normalize", counting)
+        path = tmp_path / "set.txt"
+        path.write_text("0\n01\n10\n110\n")  # prefix-free form: 0, 10, 110
+        for argv in (
+            ["measure", str(path)],
+            ["diagonalize", str(path), "--depth", "4"],
+            ["diagonalize", str(path), "--depth", "4", "--mode", "approx"],
+        ):
+            calls.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, out
+            # the whole set once; approx mode then normalizes only the
+            # members inside each candidate cell, never all three again
+            assert calls[0] == 4 and all(n < 3 for n in calls[1:])
 
     def test_toy_pipeline_paper(self, capsys):
         code, out, _ = run_cli(

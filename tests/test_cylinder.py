@@ -12,6 +12,7 @@ from oraclediag.cylinder import (
     all_encodings,
     binary_measure,
     bit_strings_up_to,
+    cell_volume,
     encf_count,
     family_cell_volume,
     family_measure,
@@ -31,6 +32,7 @@ from oraclediag.cylinder import (
 
 E1 = all_encodings(1)
 E2 = all_encodings(2)
+E3 = all_encodings(3)
 
 bit_string = st.text(alphabet="01", max_size=7)
 binary_set = st.frozensets(bit_string, max_size=12)
@@ -40,6 +42,20 @@ def small_family_prefixes():
     level1 = st.sampled_from(E1).map(lambda e: (e,))
     level2 = st.tuples(st.sampled_from(E1), st.sampled_from(E2))
     return st.one_of(st.just(()), level1, level2)
+
+
+def family_prefixes_to_depth_3():
+    """Prefixes of length 0..3 over few encodings, so prefixes collide often."""
+    pools = (E1, E2[:3], E3[:3])
+    return st.integers(0, 3).flatmap(
+        lambda n: st.tuples(*(st.sampled_from(pools[k]) for k in range(n)))
+    )
+
+
+def reference_normalize(members) -> frozenset:
+    """Prefix-free representative by testing every proper prefix length."""
+    pool = frozenset(members)
+    return frozenset(s for s in pool if not any(s[:i] in pool for i in range(len(s))))
 
 
 family_set = st.frozensets(small_family_prefixes(), max_size=6)
@@ -55,6 +71,12 @@ class TestNormalize:
     def test_already_prefix_free(self):
         full = {"00", "01", "10", "11"}
         assert normalize_prefix_free(full) == full
+
+    def test_prefix_free_input_is_returned_as_is(self):
+        full = frozenset({"0", "10", "110"})
+        assert normalize_prefix_free(full) is full
+        one_length = frozenset({"00", "11"})
+        assert normalize_prefix_free(one_length) is one_length
 
     def test_family_extension_dropped(self):
         short = (E1[0],)
@@ -136,6 +158,46 @@ class TestChecks:
 
     def test_monotonicity(self):
         assert monotonicity_check({"00"}, {"0"})
+
+
+class TestMixedKinds:
+    MIXED = frozenset({"0", (E1[0],)})
+
+    def test_measure_refuses_a_mixed_set(self):
+        with pytest.raises(KindMismatchError):
+            measure(self.MIXED)
+        with pytest.raises(KindMismatchError):
+            measure({"", "01", (E1[1], E2[0])})
+
+    def test_binary_measure_refuses_family_members(self):
+        with pytest.raises(KindMismatchError):
+            binary_measure(self.MIXED)
+        with pytest.raises(KindMismatchError):
+            binary_measure({(E1[0],)})
+
+    def test_family_measure_refuses_bit_strings(self):
+        with pytest.raises(KindMismatchError):
+            family_measure(self.MIXED)
+        with pytest.raises(KindMismatchError):
+            family_measure({"0"})
+
+
+@settings(max_examples=200)
+@given(st.frozensets(bit_string, max_size=20))
+def test_normalize_matches_all_prefix_lengths_binary(s):
+    norm = normalize_prefix_free(s)
+    assert norm == reference_normalize(s)
+    expected = sum((cell_volume(x) for x in reference_normalize(s)), Fraction(0))
+    assert binary_measure(s) == measure(s) == expected
+
+
+@settings(max_examples=100)
+@given(st.frozensets(family_prefixes_to_depth_3(), max_size=10))
+def test_normalize_matches_all_prefix_lengths_family(s):
+    norm = normalize_family_prefix_free(s)
+    assert norm == reference_normalize(s)
+    expected = sum((cell_volume(x) for x in reference_normalize(s)), Fraction(0))
+    assert family_measure(s) == measure(s) == expected
 
 
 @settings(max_examples=150)

@@ -4,6 +4,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oraclediag.cylinder import (
     all_encodings,
@@ -15,6 +17,8 @@ from oraclediag.cylinder import (
 from oraclediag.diagonal import (
     EnumeratedOpenSet,
     EscapeContractViolation,
+    EscapeStep,
+    EscapeTranscript,
     KindMismatchError,
     MeasureTooLargeError,
     ScheduleBoundError,
@@ -403,3 +407,120 @@ class TestGgmTestfamily:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             build_ggm_testfamily(const_guess(0), 2, 4)
+
+
+# ---------------------------------------------------------------------------
+# The integer-mass kernel held to the one-Fraction-per-member definitions
+# ---------------------------------------------------------------------------
+
+
+def reference_normalize(members) -> frozenset:
+    pool = frozenset(members)
+    return frozenset(s for s in pool if not any(s[:i] in pool for i in range(len(s))))
+
+
+def reference_measure(members) -> Fraction:
+    return sum((cell_volume(s) for s in reference_normalize(members)), Fraction(0))
+
+
+def reference_conditional_exact(members, t) -> Fraction:
+    norm = reference_normalize(members)
+    if any(t[: len(s)] == s for s in norm):
+        return cell_volume(t)
+    return sum((cell_volume(s) for s in norm if s[: len(t)] == t), Fraction(0))
+
+
+def reference_conditional_approx(S, t, k) -> Fraction:
+    """Stage search and cell mass recomputed from scratch for every call."""
+    g = S.measure_approx(k)
+    for m in range(1, S.stage_cap + 1):
+        stage = S.stages(m)
+        if reference_measure(stage) > g - Fraction(1, 2**k):
+            return g - (reference_measure(stage) - reference_conditional_exact(stage, t))
+    raise AssertionError("no stage heavy enough")
+
+
+def reference_exact_escape(members, depth: int, kind: str) -> EscapeTranscript:
+    """Exact escape summing one Fraction cell volume per member and level."""
+    restricted = reference_normalize(members)
+    prefix = "" if kind == "binary" else ()
+    steps = []
+    for level in range(depth):
+        buckets: dict = {}
+        for s in restricted:
+            buckets[s[level]] = buckets.get(s[level], Fraction(0)) + cell_volume(s)
+        candidates = ("0", "1") if kind == "binary" else all_encodings(level + 1)
+        for idx, tau in enumerate(candidates):
+            t = prefix + tau if kind == "binary" else prefix + (tau,)
+            trapped, cell = buckets.get(tau, Fraction(0)), cell_volume(t)
+            if trapped < cell:
+                break
+        else:
+            raise AssertionError("no candidate below its cell volume")
+        prefix = t
+        restricted = {s for s in restricted if len(s) > level and s[: level + 1] == prefix}
+        steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, cell))
+    return EscapeTranscript(kind, "exact", prefix, tuple(steps))
+
+
+@settings(max_examples=150)
+@given(st.frozensets(st.text(alphabet="01", min_size=1, max_size=9), max_size=16), st.integers(0, 11))
+def test_exact_escape_matches_fraction_buckets_binary(members, depth):
+    assume(reference_measure(members) < 1)
+    got = escape_binary(members, depth=depth)
+    expected = reference_exact_escape(members, depth, "binary")
+    assert got == expected
+    assert got.to_text() == expected.to_text()
+    raw = EnumeratedOpenSet(  # a stage that is not prefix-free as it stands
+        kind="binary",
+        stages=lambda m: members,
+        measure_approx=lambda k: reference_measure(members),
+        stage_cap=1,
+    )
+    assert escape_binary(raw, depth=depth) == expected
+
+
+def test_exact_escape_matches_fraction_buckets_family():
+    rng = random.Random(15)
+    for _ in range(30):
+        members = random_family_set(rng, max_members=8)
+        got = escape_family(members, depth=3)
+        expected = reference_exact_escape(members, 3, "family")
+        assert got == expected
+        assert got.to_text() == expected.to_text()
+
+
+@settings(max_examples=100)
+@given(
+    st.frozensets(st.text(alphabet="01", min_size=1, max_size=7), max_size=12),
+    st.text(alphabet="01", max_size=4),
+    st.sampled_from((1, 3, 8, 17)),
+)
+def test_conditional_approx_matches_renormalizing_formula(members, t, k):
+    ordered = sorted(members)
+    exact = reference_measure(members)
+    S = EnumeratedOpenSet(
+        kind="binary",
+        stages=lambda m: frozenset(ordered[: 2 * m]),
+        measure_approx=lambda k: exact + (-1) ** k * Fraction(1, 2 ** (k + 2)),
+        stage_cap=len(ordered) // 2 + 1,
+    )
+    assert conditional_measure_approx(S, t, k) == reference_conditional_approx(S, t, k)
+    assert conditional_measure_exact(members, t) == reference_conditional_exact(members, t)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize(
+    "escape,members", [(escape_binary, {"00"}), (escape_family, {(E1[0],)})]
+)
+def test_negative_depth_is_rejected(escape, members, mode):
+    with pytest.raises(ValueError, match="depth"):
+        escape(members, depth=-2, mode=mode)
+    assert escape(members, depth=0, mode=mode).prefix in ("", ())
+
+
+def test_finite_set_of_the_other_kind_is_refused():
+    with pytest.raises(KindMismatchError):
+        EnumeratedOpenSet.from_finite({(E1[0],)}, kind="binary")
+    with pytest.raises(KindMismatchError):
+        escape_family({"0"}, depth=1)

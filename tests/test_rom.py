@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oraclediag.cylinder import binary_measure, bit_strings_up_to
 from oraclediag.numbering import cantor_pair
@@ -164,6 +168,7 @@ class TestConstraintStrings:
                 expected = rom_testset_measure(n, 1, ELL_ONE, count)
                 assert binary_measure(strings) == expected
                 assert pattern_set_measure(patterns) == expected
+                assert strings == frozenset().union(*(p.expand() for p in patterns))
 
     def test_materialization_guard(self):
         rng = random.Random(4)
@@ -178,6 +183,35 @@ class TestConstraintStrings:
         table = OracleTable(2, 1, tuple("0" * 7))
         with pytest.raises(ValueError):
             build_constraint_strings(1, 1, ELL_ONE, [table])
+
+
+def reference_expand(pattern: ConstraintPattern) -> frozenset:
+    """One character list per string, filled position by position."""
+    pinned = dict(pattern.pins)
+    free = [i for i in range(pattern.length) if i not in pinned]
+    out = set()
+    for bits in itertools.product("01", repeat=len(free)):
+        chars = [pinned.get(i, "") for i in range(pattern.length)]
+        for pos, bit in zip(free, bits):
+            chars[pos] = bit
+        out.add("".join(chars))
+    return frozenset(out)
+
+
+@st.composite
+def patterns(draw):
+    length = draw(st.integers(0, 12))
+    positions = draw(st.sets(st.integers(0, max(length - 1, 0)), max_size=length))
+    pins = tuple((p, draw(st.sampled_from("01"))) for p in sorted(positions) if p < length)
+    return ConstraintPattern(length, pins)
+
+
+@settings(max_examples=200)
+@given(patterns())
+def test_expand_matches_per_character_reference(pattern):
+    strings = pattern.expand()
+    assert strings == reference_expand(pattern)
+    assert len(strings) == 2**pattern.free_bits
 
 
 class TestPatternMeasure:
