@@ -53,7 +53,7 @@ class SetFormatError(ValueError):
 
 
 def validate_bits(s: Bits) -> Bits:
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
     return s
 
@@ -102,14 +102,7 @@ class EncodingFunction:
         """Preimage of an n-bit string; raises if s is not in the image."""
         if len(s) != self.n:
             raise ValueError(f"expected {self.n} bits, got {s!r}")
-        return self.inverse()[int(s, 2)]
-
-    @lru_cache(maxsize=None)
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.table)
-        for x, y in enumerate(self.table):
-            inv[y] = x
-        return tuple(inv)
+        return self.table.index(int(s, 2))
 
 
 FamilyPrefix = tuple[EncodingFunction, ...]
@@ -369,7 +362,7 @@ def parse_binary_set(text: str) -> frozenset[Bits]:
         if line in (_EMPTY_TOKEN, "λ"):
             out.add("")
             continue
-        if any(c not in "01" for c in line):
+        if line.strip("01"):
             raise SetFormatError(f"line {lineno}: not a bit string: {line!r}")
         out.add(line)
     return frozenset(out)

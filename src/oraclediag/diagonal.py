@@ -28,7 +28,6 @@ from typing import Callable, Iterable
 from .cylinder import (
     FamilyPrefix,
     KindMismatchError,
-    _is_prefix_of,
     _normalize,
     all_encodings,
     cell_den,
@@ -348,11 +347,8 @@ def escape_family(
 def verify_escape(prefix, members: Iterable) -> bool:
     """Independent check that no member of the set traps the prefix."""
     members = frozenset(members)
-    if members:
-        sample = next(iter(members))
-        if isinstance(sample, str) != isinstance(prefix, str):
-            raise KindMismatchError("prefix and set members have different kinds")
-    return not any(_is_prefix_of(s, prefix) for s in members)
+    kind_of(members, "binary" if isinstance(prefix, str) else "family")  # refuses mixed kinds
+    return not any(prefix[: len(s)] == s for s in members)
 
 
 # ---------------------------------------------------------------------------
@@ -447,27 +443,23 @@ def build_ggm_testfamily(
 ) -> frozenset[FamilyPrefix]:
     """Length-n prefixes whose last encoding breaks the 1/n**d target.
 
-    The first n - 1 coordinates are free; the set therefore measures
-    exactly (number of bad encodings) / (2**n)!.
+    The bad encodings are thresholded in integers from the program's
+    instance plan over the table entries it reads
+    (``experiments.encodings_above``); no per-encoding ``Fraction`` is
+    built.  The first n - 1 coordinates are free; the set therefore
+    measures exactly (number of bad encodings) / (2**n)!.
     """
-    from .experiments import success_vector  # local import to avoid a cycle
+    from .experiments import encodings_above  # local import to avoid a cycle
 
     if d < 2:
         raise ValueError("need d >= 2")
     if n > exhaustive_cap:
         raise ValueError(f"level {n} beyond the exhaustive cap {exhaustive_cap}")
     prog = program_for(n) if callable(program_for) else program_for
-    threshold = Fraction(1, n**d)
-    vector = success_vector(prog, n, experiment)
-    encodings = all_encodings(n)
-    bad = [encodings[idx] for idx, s in enumerate(vector) if s > threshold]
+    bad = encodings_above(prog, n, experiment, Fraction(1, n**d))
     if not bad:
         return frozenset()
-    free = 1
-    for k in range(1, n):
-        from .cylinder import encf_count
-
-        free *= encf_count(k)
+    free = cell_den("family", n - 1)
     if free * len(bad) > member_cap:
         raise ValueError(
             f"{free * len(bad)} members would exceed the cap {member_cap}"

@@ -16,10 +16,16 @@ unless the caller raises the cap explicitly.  The sampled path draws
 encodings from a seeded RNG, evaluates the plan on each by integer
 lookups, and is deterministic per seed.
 
-``dlog_success_for_sigma``, ``cdh_success_for_sigma`` and
-``success_vector(method="naive")`` rerun the reference-checked
-interpreter ``run_generic`` per encoding; they are the independent path
-the plan is tested against.
+Constraint sets ("encodings where the program beats a threshold") are
+thresholded from the plan as well: ``encodings_above`` compares integer
+hit counts, scores each assignment of values to the few table entries
+the plan reads once, and selects encodings by those entries alone.
+
+``success_vector`` builds one ``Fraction`` per encoding; it is the test
+oracle's path, not the constraint-set path.  ``dlog_success_for_sigma``,
+``cdh_success_for_sigma`` and ``success_vector(method="naive")`` rerun
+the reference-checked interpreter ``run_generic`` per encoding; they are
+the independent path the plan is tested against.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
+from operator import getitem, itemgetter
 from typing import Sequence
 
 from .cylinder import EncodingFunction, all_encodings, encf_count
@@ -217,6 +225,34 @@ class _InstancePlan:
         entries = sum(sum(row.values()) for row in self.weights.values())
         return Fraction(self.base * size + entries, self.den * size)
 
+    def encodings_above(self, threshold: Fraction) -> tuple[EncodingFunction, ...]:
+        """Encodings with success ``> threshold``, in lexicographic order.
+
+        ``hits / den > p / q`` holds iff the gain ``hits - base`` exceeds
+        ``p * den // q - base``.  The gain reads only the table entries at
+        the sorted keys ``Z`` of ``weights``, so each injective assignment
+        of values to ``Z`` is scored once, and an encoding is selected by
+        looking up its entries at ``Z`` among the assignments that cross.
+        """
+        threshold = Fraction(threshold)
+        cut = threshold.numerator * self.den // threshold.denominator - self.base
+        keys = sorted(self.weights)
+        if not keys:  # every encoding has gain 0
+            return all_encodings(self.width) if cut < 0 else ()
+        size = 1 << self.width
+        rows = [[self.weights[z].get(t, 0) for t in range(size)] for z in keys]
+        bad = {
+            values
+            for values in permutations(range(size), len(keys))
+            if sum(map(getitem, rows, values)) > cut
+        }
+        if not bad:
+            return ()
+        if len(keys) == 1:  # itemgetter of one key returns the entry itself
+            bad = {value for (value,) in bad}
+        read = itemgetter(*keys)
+        return tuple(sigma for sigma in all_encodings(self.width) if read(sigma.table) in bad)
+
 
 def _instance_plan(
     prog: GenericProgram, n: int, moduli: Sequence[int], experiment: str
@@ -367,7 +403,8 @@ def success_vector(
     encoding table by integer lookups, and builds one Fraction per
     encoding over the common denominator.  The naive path reruns the full
     interpreter per encoding; both must agree, and the tests hold them to
-    that.
+    that.  Constraint sets need only the encodings above a threshold and
+    take ``encodings_above`` instead.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -378,6 +415,25 @@ def success_vector(
         raise ValueError(f"unknown method {method!r}")
     plan = _instance_plan(prog, n, _primes(n), experiment)
     return tuple(Fraction(plan.hits(sigma.table), plan.den) for sigma in all_encodings(n))
+
+
+def encodings_above(
+    prog: GenericProgram,
+    n: int,
+    experiment: str,
+    threshold: Fraction,
+) -> tuple[EncodingFunction, ...]:
+    """Encodings of width n on which success is ``> threshold``, in order.
+
+    The same members as filtering ``success_vector`` by ``threshold``,
+    computed from the instance plan in integers: no per-encoding
+    ``Fraction`` is built.  Widths past ``EXHAUSTIVE_WIDTH_CAP`` are
+    refused, because the selection walks every encoding.
+    """
+    if experiment not in ("dlog", "cdh"):
+        raise ValueError(f"unknown experiment {experiment!r}")
+    _check_cap(n, EXHAUSTIVE_WIDTH_CAP)
+    return _instance_plan(prog, n, _primes(n), experiment).encodings_above(threshold)
 
 
 def minimal_shoup_constant(

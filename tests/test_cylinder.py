@@ -28,6 +28,7 @@ from oraclediag.cylinder import (
     parse_binary_set,
     parse_family_set,
     subadditivity_check,
+    validate_bits,
 )
 
 E1 = all_encodings(1)
@@ -246,9 +247,15 @@ class TestEncodingFunction:
             EncodingFunction(1, (0, 0))
 
     def test_encode_decode_roundtrip(self):
-        for enc in E2:
-            for x in range(4):
-                assert enc.decode(enc.encode(x)) == x
+        for encodings in (E1, E2, E3):
+            for enc in encodings:
+                for x in range(2**enc.n):
+                    assert enc.decode(enc.encode(x)) == x
+
+    @pytest.mark.parametrize("s", ["", "1", "011", "0110"])
+    def test_decode_rejects_wrong_length(self, s):
+        with pytest.raises(ValueError, match="expected 2 bits"):
+            E2[5].decode(s)
 
     def test_lexicographic_enumeration(self):
         assert E1[0].table == (0, 1)
@@ -271,6 +278,15 @@ class TestSerialization:
     def test_binary_rejects_garbage(self):
         with pytest.raises(SetFormatError):
             parse_binary_set("01\n02\n")
+
+    @pytest.mark.parametrize("bad", ["01x1", "x", "0 1", "10\t1", "2"])
+    def test_binary_error_names_line_and_text(self, bad):
+        with pytest.raises(SetFormatError) as info:
+            parse_binary_set(f"0\n# comment\n{bad}  # tail\n1\n")
+        assert str(info.value) == f"line 3: not a bit string: {bad!r}"
+        with pytest.raises(ValueError) as info:
+            validate_bits(bad)
+        assert str(info.value) == f"not a bit string: {bad!r}"
 
     def test_family_roundtrip(self):
         s = frozenset({(), (E1[1],), (E1[0], E2[7])})

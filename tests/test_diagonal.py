@@ -326,6 +326,13 @@ class TestVerifyEscape:
         with pytest.raises(KindMismatchError):
             verify_escape("0", {(E1[0],)})
 
+    @pytest.mark.parametrize("prefix", ["0", "11", (E1[0],), (E1[1], E2[3])])
+    def test_mixed_set_refused(self, prefix):
+        # every member's kind is checked, not one arbitrary sample, even
+        # when a member of the prefix's own kind already traps it
+        with pytest.raises(KindMismatchError):
+            verify_escape(prefix, {"0", "1", (E1[0],), (E1[1],)})
+
 
 def test_transcript_text_roundtrips_key_fields():
     transcript = escape_binary({"00", "01", "10"}, depth=2)
@@ -407,6 +414,34 @@ class TestGgmTestfamily:
     def test_level_cap(self):
         with pytest.raises(ValueError):
             build_ggm_testfamily(const_guess(0), 2, 4)
+
+    def test_one_plan_per_call_and_no_success_vector(self, monkeypatch):
+        import oraclediag.experiments as experiments
+        from oraclediag.pipeline import toy_registry
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("success_vector called")
+
+        plans = []
+        instance_plan = experiments._instance_plan
+
+        def recording(prog, n, moduli, experiment):
+            plans.append((prog, n))
+            return instance_plan(prog, n, moduli, experiment)
+
+        monkeypatch.setattr(experiments, "success_vector", refuse)
+        monkeypatch.setattr(experiments, "_instance_plan", recording)
+        calls = [(linear_search(1), "dlog", d, 2) for d in (2, 3)]
+        calls += [
+            (adversary.program_for(n), adversary.experiment, d, n)
+            for adversary in toy_registry()
+            for d, n in ((2, 2), (4, 2), (2, 3))
+        ]
+        for prog, experiment, d, n in calls:
+            plans.clear()
+            members = build_ggm_testfamily(prog, d, n, experiment=experiment)
+            assert plans == [(prog, n)]
+            assert all(len(m) == n for m in members)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,23 @@
+import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oraclediag.cylinder import all_encodings
+from oraclediag.cylinder import all_bit_strings, all_encodings
 from oraclediag.experiments import (
     ExhaustiveCapExceeded,
+    _hidden_tuples,
+    _instance_plan,
+    _InstancePlan,
+    _win_entry,
     cdh_success_for_sigma,
     cdh_success_ggm,
     dlog_success_for_sigma,
     dlog_success_ggm,
+    encodings_above,
     largest_prime_factor,
     minimal_shoup_constant,
     nbit_primes,
@@ -26,7 +35,8 @@ from oraclediag.programs import (
     linear_search,
     random_guess,
 )
-from oraclediag.vm import OP_ADD, OP_INPUT, OP_OUT_INT, GenericProgram
+from oraclediag.pipeline import toy_registry
+from oraclediag.vm import OP_ADD, OP_INPUT, OP_OUT_INT, GenericProgram, coin_tapes, run_symbolic
 
 E2 = all_encodings(2)
 
@@ -231,14 +241,15 @@ def test_success_vector_fast_matches_naive(prog, experiment):
     )
 
 
-REGISTRY_W2 = [
-    build_program(spec, 2)
-    for spec in (
-        "const_guess:0", "const_guess:2", "invalid_guess", "random_guess:1",
-        "random_guess:2", "linear_search:1", "linear_search:3", "bsgs:2",
-        "cdh_echo", "cdh_const_guess:01", "cdh_const_guess:1", "cdh_invalid",
-    )
-] + [cdh_pin_table([(1, "10"), (2, "01")])]
+BUILTIN_SPECS = (
+    "const_guess:0", "const_guess:2", "invalid_guess", "random_guess:1",
+    "random_guess:2", "linear_search:1", "linear_search:3", "bsgs:2",
+    "cdh_echo", "cdh_const_guess:01", "cdh_const_guess:1", "cdh_invalid",
+)
+
+REGISTRY_W2 = [build_program(spec, 2) for spec in BUILTIN_SPECS] + [
+    cdh_pin_table([(1, "10"), (2, "01")])
+]
 
 
 def _mean(values):
@@ -343,3 +354,129 @@ class TestWorkCounts:
         call(prog)
         assert len(runs) == self._instances(prog, moduli)
         assert len(set(runs)) == len(runs)
+
+
+# ---------------------------------------------------------------------------
+# Integer thresholding from the plan against the per-encoding vector
+# ---------------------------------------------------------------------------
+
+def _seeded_pin_table(seed: int, n: int) -> GenericProgram:
+    rng = random.Random(seed)
+    positions = rng.sample(range(1, 2**n), rng.randint(1, min(4, 2**n - 1)))
+    return cdh_pin_table([(j, rng.choice(all_bit_strings(n))) for j in positions])
+
+
+PIN_SEEDS = (1, 2, 3, 4)
+
+
+def _programs(n: int) -> list[GenericProgram]:
+    return (
+        [build_program(spec, n) for spec in BUILTIN_SPECS]
+        + [adversary.program_for(n) for adversary in toy_registry()]
+        + [_seeded_pin_table(seed, n) for seed in PIN_SEEDS]
+    )
+
+
+PROGRAMS = {n: _programs(n) for n in (2, 3)}
+PROGRAM_IDS = (
+    list(BUILTIN_SPECS)
+    + [adversary.name for adversary in toy_registry()]
+    + [f"pin_seed{seed}" for seed in PIN_SEEDS]
+)
+
+
+def _experiment(prog: GenericProgram) -> str:
+    return "cdh" if prog.n_inputs == 3 else "dlog"
+
+
+@cache
+def _vector(n: int, idx: int) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+    """Per-encoding success as its distinct values and each encoding's value index.
+
+    The vector is the naive reruns at width 2 and the fast plan at width 3.
+    """
+    prog = PROGRAMS[n][idx]
+    vector = success_vector(prog, n, _experiment(prog), "naive" if n == 2 else "fast")
+    values = tuple(sorted(set(vector)))
+    index = {value: i for i, value in enumerate(values)}
+    return values, tuple(index[s] for s in vector)
+
+
+def _filtered(n: int, idx: int, threshold) -> tuple:
+    """The encodings whose success value is ``> threshold``, in order."""
+    values, which = _vector(n, idx)
+    above = {i for i, value in enumerate(values) if value > threshold}
+    return tuple(e for e, i in zip(all_encodings(n), which) if i in above)
+
+
+class TestEncodingsAbove:
+    @pytest.mark.parametrize("idx", range(len(PROGRAM_IDS)), ids=PROGRAM_IDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_filtered_vector(self, n, idx):
+        prog = PROGRAMS[n][idx]
+        thresholds = [Fraction(1, n**d) for d in range(1, 5)] + [Fraction(0), Fraction(1)]
+        for threshold in thresholds:
+            got = encodings_above(prog, n, _experiment(prog), threshold)
+            assert got == _filtered(n, idx, threshold)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_threshold_on_an_attained_value(self, data):
+        """A threshold equal to some encoding's success leaves that encoding out."""
+        n = data.draw(st.sampled_from((2, 3)), label="n")
+        idx = data.draw(st.integers(0, len(PROGRAM_IDS) - 1), label="program")
+        threshold = data.draw(st.sampled_from(_vector(n, idx)[0]), label="threshold")
+        prog = PROGRAMS[n][idx]
+        got = encodings_above(prog, n, _experiment(prog), threshold)
+        assert got == _filtered(n, idx, threshold)
+        assert len(got) < len(all_encodings(n))
+
+    def test_empty_plan_is_all_or_nothing(self):
+        plan = _InstancePlan(width=2, base=3, weights={}, den=8, max_queries=0)
+        assert plan.encodings_above(Fraction(1, 4)) == all_encodings(2)
+        assert plan.encodings_above(Fraction(3, 8)) == ()
+        assert plan.encodings_above(Fraction(1)) == ()
+        for prog, everything in ((const_guess(0), True), (invalid_guess(), False)):
+            assert not _instance_plan(prog, 2, nbit_primes(2), "dlog").weights
+            got = encodings_above(prog, 2, "dlog", 0)
+            assert got == (all_encodings(2) if everything else ())
+
+    def test_one_key_plan(self):
+        plan = _InstancePlan(width=2, base=1, weights={1: {2: 3, 0: 1}}, den=8, max_queries=0)
+        for threshold, entries in ((Fraction(1, 8), {0, 2}), (Fraction(1, 4), {2}), (Fraction(1, 2), set())):
+            expected = tuple(s for s in all_encodings(2) if s.table[1] in entries)
+            assert plan.encodings_above(threshold) == expected
+        prog = cdh_pin_table([(1, "10")])
+        assert set(_instance_plan(prog, 2, nbit_primes(2), "cdh").weights) == {1}
+        naive = success_vector(prog, 2, "cdh", "naive")
+        for threshold in sorted(set(naive)) + [Fraction(-1)]:
+            expected = tuple(e for e, s in zip(all_encodings(2), naive) if s > threshold)
+            assert encodings_above(prog, 2, "cdh", threshold) == expected
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            encodings_above(cdh_echo(), 2, "ddh", Fraction(1, 2))
+        with pytest.raises(ExhaustiveCapExceeded):
+            encodings_above(cdh_echo(), 4, "cdh", Fraction(1, 2))
+
+
+@pytest.mark.parametrize("idx", range(len(PROGRAM_IDS)), ids=PROGRAM_IDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_table_entry_per_win(n, idx):
+    """Each run wins outright or iff one table entry sigma(z) == t holds."""
+    prog = PROGRAMS[n][idx]
+    experiment = _experiment(prog)
+    top = 1 << n
+    for N in nbit_primes(n):
+        for hidden in _hidden_tuples(prog, N):
+            for coins in coin_tapes(prog.coin_count):
+                kind, value, _ = run_symbolic(prog, N, (1 % N, *hidden), coins)
+                entry = _win_entry(experiment, kind, value, N, hidden, top)
+                if isinstance(entry, bool):
+                    continue
+                assert isinstance(entry, tuple) and len(entry) == 2
+                z, t = entry
+                assert 0 <= z < N and 0 <= t < top
+    plan = _instance_plan(prog, n, nbit_primes(n), experiment)
+    hits = sum(plan.hits(sigma.table) for sigma in all_encodings(n))
+    assert plan.average() == Fraction(hits, plan.den * len(all_encodings(n)))
