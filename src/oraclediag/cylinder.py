@@ -24,6 +24,13 @@ integer counts per length over one denominator, the cell count ``den``
 of its longest member (``2**len`` for bit strings, ``prod((2**k)!)`` for
 family prefixes): one ``Fraction`` per set, not one per member.
 
+Generic-group constraint sets have a compact form,
+:class:`FamilyPatternSet`: per level ``n``, a few table keys ``Z`` and
+the bad assignments ``table[Z] = v`` of the level's encoding, the levels
+before it free.  Its measure, cell masses and least avoiding encodings
+follow from the assignments in closed form, so none of its members is
+built unless a caller iterates it.
+
 Every value is immutable after construction and every operation is a
 pure function, so concurrent callers can share inputs freely.
 """
@@ -32,11 +39,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Iterable, Iterator, Sequence
+from math import factorial, perm, prod
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Bits = str
 
@@ -61,6 +70,19 @@ def validate_bits(s: Bits) -> Bits:
 def all_bit_strings(length: int) -> list[Bits]:
     """All bit strings of exactly `length` bits, lexicographically."""
     return [format(i, f"0{length}b") if length else "" for i in range(2**length)]
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line left non-empty once its ``#``
+    comment is cut and it is stripped; numbers count from 1.
+
+    Built from C iterators: a generator function would cost a
+    20000-line set file about a fifth more parse time, a list its
+    memory."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return filter(itemgetter(1), enumerate(map(str.strip, lines), 1))
 
 
 def bit_strings_up_to(q: int) -> list[Bits]:
@@ -253,11 +275,15 @@ def binary_measure(strings: Iterable[Bits]) -> Fraction:
 
 def family_measure(prefixes: Iterable[FamilyPrefix]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of family prefixes."""
+    if isinstance(prefixes, FamilyPatternSet):
+        return prefixes.measure()
     return prefix_free_measure(_normalize(prefixes), "family")
 
 
 def measure(members: Iterable) -> Fraction:
     """Measure of a cylinder set of either kind; a mixed set is refused."""
+    if isinstance(members, FamilyPatternSet):
+        return members.measure()
     return prefix_free_measure(_normalize(members))
 
 
@@ -267,6 +293,8 @@ def cell_mass(members: frozenset, t) -> Fraction:
     Only the members inside the cell are normalized: a proper prefix of
     one of them either lies inside too or covers the whole cell.
     """
+    if isinstance(members, FamilyPatternSet):
+        return members.cell_mass(t)
     kind = "binary" if isinstance(t, str) else "family"
     if any(t[:i] in members for i in range(len(t) + 1)):
         return Fraction(1, cell_den(kind, len(t)))
@@ -341,6 +369,200 @@ def monotonicity_check(small: Iterable, big: Iterable) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Constraint patterns over family levels
+# ---------------------------------------------------------------------------
+
+
+def encoding_rank(table: Sequence[int]) -> int:
+    """Index of a table among all tables of its width in lexicographic
+    order (the order of :func:`all_encodings`): its Lehmer rank."""
+    rest = sorted(table)
+    rank = 0
+    for value in table:
+        i = rest.index(value)
+        rank = rank * len(rest) + i
+        del rest[i]
+    return rank
+
+
+def pattern_encodings(
+    width: int, keys: Sequence[int], assignments: Iterable[Sequence[int]]
+) -> tuple[EncodingFunction, ...]:
+    """Encodings of ``width`` whose entries at ``keys`` form one of the
+    assignments, in lexicographic order.
+
+    Each assignment's completions are generated directly: the free table
+    positions take every ordering of the values the assignment leaves.
+    """
+    size = 1 << width
+    free = sorted(set(range(size)).difference(keys))
+    tables = []
+    for values in assignments:
+        table = [0] * size
+        for z, v in zip(keys, values):
+            table[z] = v
+        for rest in itertools.permutations(sorted(set(range(size)).difference(values))):
+            for i, v in zip(free, rest):
+                table[i] = v
+            tables.append(tuple(table))
+    tables.sort()
+    return tuple(EncodingFunction(width, table) for table in tables)
+
+
+def least_encoding(
+    width: int, keys: Sequence[int] = (), bad: Iterable[Sequence[int]] = ()
+) -> tuple[int, ...] | None:
+    """Lexicographically least table of ``width`` whose entries at
+    ``keys`` are no assignment in ``bad``; None if every table is bad.
+
+    A pruned lex walk: each position takes the least value that still
+    leaves a good completion.  One exists iff the assignments still
+    reachable (consistent with the entries placed and the values left)
+    are fewer than the ways to give the open keys distinct values left.
+    """
+    size = 1 << width
+    slot = {z: i for i, z in enumerate(keys)}
+    live = list(set(map(tuple, bad)))
+    used: set[int] = set()
+    table: list[int] = []
+    for pos in range(size):
+        open_keys = [slot[z] for z in keys if z > pos]
+        for x in range(size):
+            if x in used:
+                continue
+            left = set(range(size)) - used - {x}
+            reach = [v for v in live if pos not in slot or v[slot[pos]] == x]
+            stuck = sum(all(v[i] in left for i in open_keys) for v in reach)
+            if stuck < perm(len(left), len(open_keys)):
+                break
+        else:
+            return None
+        table.append(x)
+        used.add(x)
+        live = reach
+    return tuple(table)
+
+
+class FamilyPatternSet(Set):
+    """Family prefixes whose encoding at one level hits a bad assignment.
+
+    Level ``n`` holds sorted table keys ``Z`` and distinct injective
+    assignments ``v`` to them.  Its members are the length-n prefixes
+    whose first n - 1 encodings are free and whose last has
+    ``table[Z] == v`` for some ``v``; distinct assignments are disjoint,
+    and each measures ``(2**n - |Z|)! / (2**n)!``.  Levels are
+    independent coordinates of the product measure, so the set measures
+    ``1 - prod(1 - mu_n)`` over its levels' masses ``mu_n``.
+
+    It is sized and iterable like the frozenset of its members and
+    compares equal to it, but holds only the assignments; the set
+    operators inherited from :class:`collections.abc.Set` return plain
+    frozensets.
+    """
+
+    __slots__ = ("levels",)
+
+    def __init__(self, levels: Mapping[int, tuple[Sequence[int], Iterable[Sequence[int]]]]):
+        checked: dict[int, tuple[tuple[int, ...], frozenset[tuple[int, ...]]]] = {}
+        for n, (keys, assignments) in sorted(levels.items()):
+            keys = tuple(keys)
+            size = 1 << n if n >= 1 else 0
+            if not size or list(keys) != sorted(set(keys)) or not all(0 <= z < size for z in keys):
+                raise ValueError(f"level {n}: keys {keys} are not sorted, distinct table indices")
+            bad = frozenset(map(tuple, assignments))
+            for v in bad:
+                if len(v) != len(keys) or len(set(v)) < len(v) or not all(0 <= x < size for x in v):
+                    raise ValueError(f"level {n}: {v} is not an injective assignment to {keys}")
+            if bad:
+                checked[n] = (keys, bad)
+        self.levels = checked
+
+    @classmethod
+    def _from_iterable(cls, members: Iterable) -> frozenset:
+        return frozenset(members)
+
+    @classmethod
+    def union(cls, pieces: Iterable["FamilyPatternSet"]) -> "FamilyPatternSet":
+        """One set for the union.  Where pieces read different keys at a
+        level, their assignments move to the union of those keys."""
+        pieces = list(pieces)
+        joint: dict[int, set[int]] = {}
+        for piece in pieces:
+            for n, (keys, _) in piece.levels.items():
+                joint.setdefault(n, set()).update(keys)
+        merged = {n: (tuple(sorted(keys)), set()) for n, keys in joint.items()}
+        for piece in pieces:
+            for n, (keys, bad) in piece.levels.items():
+                merged[n][1].update(_refine(n, keys, bad, merged[n][0]))
+        return cls(merged)
+
+    def __len__(self) -> int:
+        return sum(
+            cell_den("family", n - 1) * len(bad) * factorial((1 << n) - len(keys))
+            for n, (keys, bad) in self.levels.items()
+        )
+
+    def __iter__(self) -> Iterator[FamilyPrefix]:
+        for n, (keys, bad) in self.levels.items():
+            tails = pattern_encodings(n, keys, sorted(bad))
+            for head in family_prefixes_of_length(n - 1):
+                for tail in tails:
+                    yield head + (tail,)
+
+    def __contains__(self, prefix) -> bool:
+        return (
+            isinstance(prefix, tuple)
+            and len(prefix) in self.levels
+            and all(isinstance(e, EncodingFunction) and e.n == k for k, e in enumerate(prefix, 1))
+            and self._hits(prefix[-1])
+        )
+
+    def _hits(self, enc: EncodingFunction) -> bool:
+        keys, bad = self.levels[enc.n]
+        return tuple(enc.table[z] for z in keys) in bad
+
+    def miss_after(self, length: int) -> Fraction:
+        """Probability that every level past ``length`` misses; a level's
+        mass is its assignments' share of the encodings."""
+        return prod(
+            (
+                1 - Fraction(len(bad) * factorial((1 << n) - len(keys)), encf_count(n))
+                for n, (keys, bad) in self.levels.items()
+                if n > length
+            ),
+            start=ONE,
+        )
+
+    def measure(self) -> Fraction:
+        return 1 - self.miss_after(0)
+
+    def covers(self, prefix: FamilyPrefix) -> bool:
+        """True iff some level within the prefix hits it: a member is a
+        prefix of it, so its whole cell is inside."""
+        return any(self._hits(prefix[n - 1]) for n in self.levels if n <= len(prefix))
+
+    def cell_mass(self, t: FamilyPrefix) -> Fraction:
+        """The whole cell of ``t`` if a level within ``t`` hits it, else the
+        cell's share of the levels past it."""
+        volume = Fraction(1, cell_den("family", len(t)))
+        return volume if self.covers(t) else volume * (1 - self.miss_after(len(t)))
+
+
+def _refine(n: int, keys: tuple, bad: frozenset, joint: tuple) -> frozenset:
+    """The same encodings as assignments to the larger key tuple ``joint``."""
+    if keys == joint:
+        return bad
+    extra = [z for z in joint if z not in keys]
+    out = set()
+    for v in bad:
+        given = dict(zip(keys, v))
+        for more in itertools.permutations(sorted(set(range(1 << n)).difference(v)), len(extra)):
+            given.update(zip(extra, more))
+            out.add(tuple(given[z] for z in joint))
+    return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
 # Line-oriented serialization
 # ---------------------------------------------------------------------------
 
@@ -355,10 +577,7 @@ def format_binary_set(strings: Iterable[Bits]) -> str:
 
 def parse_binary_set(text: str) -> frozenset[Bits]:
     out = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line in (_EMPTY_TOKEN, "λ"):
             out.add("")
             continue
@@ -396,10 +615,7 @@ def format_family_set(prefixes: Iterable[FamilyPrefix]) -> str:
 
 def parse_family_set(text: str) -> frozenset[FamilyPrefix]:
     out = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         if line in (_EMPTY_TOKEN, "λ"):
             out.add(EMPTY_PREFIX)
             continue

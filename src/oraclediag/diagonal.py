@@ -16,6 +16,19 @@ index, the certified conditional measure, and the cell volume; the step
 invariant "trapped mass < cell volume" is what makes the prefix
 extendable forever, and `verify_escape` re-checks the finite claim
 against the raw member set.
+
+Generic-group constraint sets are compact (``FamilyPatternSet``): a
+block at level n is "first n - 1 encodings free, the n-th hits a bad
+assignment to a few table keys".  A stage made only of such blocks stays
+compact, and both modes work on it without building a member.  Exact
+mode picks, per level, the least encoding that avoids the level's
+assignments (a pruned lex walk) and reports it by its Lehmer rank.
+Approx mode scores a candidate by whether a stage fills its cell; a
+rejected candidate rejects every candidate its first filling stage
+fills, so only the least candidate that stage leaves open is certified
+next.  The transcripts equal those of the member-by-member path, which
+any stage holding a plain frozenset block still takes.  Family
+escapes reach depth 3 over member sets and depth 4 over compact ones.
 """
 
 from __future__ import annotations
@@ -26,6 +39,8 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 from .cylinder import (
+    EncodingFunction,
+    FamilyPatternSet,
     FamilyPrefix,
     KindMismatchError,
     _normalize,
@@ -33,9 +48,11 @@ from .cylinder import (
     cell_den,
     cell_mass,
     cell_volume,
-    family_prefixes_of_length,
+    encf_count,
+    encoding_rank,
     format_family_set,
     kind_of,
+    least_encoding,
     length_weights,
     measure,
     prefix_free_measure,
@@ -86,13 +103,21 @@ class EnumeratedOpenSet:
 
     @classmethod
     def from_finite(cls, members: Iterable, kind: str | None = None) -> "EnumeratedOpenSet":
-        """One-stage set of the members made prefix-free; its approximator is exact."""
-        members = frozenset(members)
-        norm = _normalize(members)
-        kind = kind_of(norm, kind)
-        if kind is None:
-            raise ValueError("cannot infer the kind of an empty set")
-        exact = prefix_free_measure(norm, kind)
+        """One-stage set of the members made prefix-free; its approximator is exact.
+
+        A compact family set is its own stage, measured in closed form.
+        """
+        if isinstance(members, FamilyPatternSet):
+            if kind not in (None, "family"):
+                raise KindMismatchError(f"expected a {kind} set, got a family set")
+            norm, kind, exact = members, "family", members.measure()
+        else:
+            members = frozenset(members)
+            norm = _normalize(members)
+            kind = kind_of(norm, kind)
+            if kind is None:
+                raise ValueError("cannot infer the kind of an empty set")
+            exact = prefix_free_measure(norm, kind)
         S = cls(
             kind=kind,
             stages=lambda m: norm,
@@ -115,13 +140,17 @@ def _stage_view(S: EnumeratedOpenSet, m: int) -> tuple[frozenset, frozenset, Fra
     """Stage m as given, made prefix-free, and its measure.
 
     A finite set's stage was made prefix-free and measured when the set
-    was built; any other stage is normalized here.
+    was built; any other stage is normalized here.  A compact stage is
+    never normalized: it stands for itself and is measured in closed form.
     """
     found = S._stages.get(m)
     if found is None:
         stage = S.stages(m)
-        norm = _normalize(stage)
-        found = (stage, norm, prefix_free_measure(norm, S.kind))
+        if isinstance(stage, FamilyPatternSet):
+            found = (stage, stage, stage.measure())
+        else:
+            norm = _normalize(stage)
+            found = (stage, norm, prefix_free_measure(norm, S.kind))
     return found
 
 
@@ -215,6 +244,8 @@ def _exact_escape(S: EnumeratedOpenSet, depth: int, candidates_at) -> EscapeTran
     _, total, total_measure = _stage_view(S, S.stage_cap)
     if total_measure >= 1:
         raise MeasureTooLargeError(f"open set has measure {total_measure} >= 1")
+    if isinstance(total, FamilyPatternSet):
+        return _exact_escape_patterns(total, depth)
     # integer masses over the common denominator den: a member of length L
     # weighs den // den(L), a cell at depth level + 1 holds den // den(level + 1)
     den, weight = length_weights(map(len, total), S.kind)
@@ -241,6 +272,99 @@ def _exact_escape(S: EnumeratedOpenSet, depth: int, candidates_at) -> EscapeTran
         trapped = Fraction(buckets.get(tau, 0), den)
         steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, Fraction(1, level_den)))
     return EscapeTranscript(S.kind, "exact", prefix, tuple(steps))
+
+
+def _exact_escape_patterns(total: FamilyPatternSet, depth: int) -> EscapeTranscript:
+    """Exact escape of a compact set.
+
+    A cell the level's assignments miss holds ``cell * (1 - miss_after)``,
+    below the cell since the set measures below 1, and a cell they hit is
+    full; so each level's choice is the least encoding avoiding them.
+    """
+    prefix: FamilyPrefix = ()
+    steps: list[EscapeStep] = []
+    for width in range(1, depth + 1):
+        table = least_encoding(width, *total.levels.get(width, ((), ())))
+        prefix += (EncodingFunction(width, table),)
+        cell = Fraction(1, cell_den("family", width))
+        steps.append(
+            EscapeStep(
+                width, encf_count(width), encoding_rank(table), total.cell_mass(prefix), cell
+            )
+        )
+    return EscapeTranscript("family", "exact", prefix, tuple(steps))
+
+
+def _certify(S: EnumeratedOpenSet, t, cell: Fraction, k_start: int, k_max: int, tried: list):
+    """``(f, k)`` once precision k certifies ``f(t, k) + 2**-k < cell``;
+    None once one certifies ``f - 2**-k >= cell`` or ``k_max`` leaves it
+    undecided, which rejects it like exact mode would.  Every precision
+    used is appended to ``tried``."""
+    k = k_start
+    while True:
+        tried.append(k)
+        eps = Fraction(1, 2**k)
+        f_val = conditional_measure_approx(S, t, k)
+        if f_val + eps < cell:
+            return f_val, k
+        if f_val - eps >= cell or k >= k_max:
+            return None
+        k = min(2 * k, k_max)
+
+
+def _approx_scan(S: EnumeratedOpenSet, prefix, candidates, k_start: int, k_max: int):
+    """Approx-mode choice at one level: certify candidates in order;
+    None if none certifies."""
+    for idx, tau in enumerate(candidates):
+        t = _extend(prefix, tau)
+        found = _certify(S, t, cell_volume(t), k_start, k_max, [])
+        if found is not None:
+            return len(candidates), idx, tau, *found
+    return None
+
+
+def _approx_patterns(
+    S: EnumeratedOpenSet, prefix: FamilyPrefix, width: int, k_start: int, k_max: int
+):
+    """Approx-mode choice at one family level, over compact stages.
+
+    ``f(t, k)`` depends on the candidate only through whether the stage
+    for k fills its cell, and filling it only raises ``f``.  So a
+    rejected candidate's run rejects every candidate filled wherever it
+    was filled, without a stage the scan would not consult; as stages
+    grow, that is every candidate filled by the first stage that filled
+    the rejected one.  The walk therefore certifies the least candidate
+    that stage leaves open: the one the scan would certify next.
+    Returns the scan's result, ``()`` if every candidate is rejected, or
+    None when a stage it consults is not compact; the scan then decides.
+    """
+    cell = Fraction(1, cell_den("family", width))
+    floor_index, floor = 0, None  # every candidate floor fills is rejected
+    while True:
+        if floor is not None and (floor.covers(prefix) or floor.miss_after(width) == 0):
+            return ()  # the floor fills every candidate's cell
+        keys, bad = floor.levels.get(width, ((), ())) if floor is not None else ((), ())
+        table = least_encoding(width, keys, bad)
+        if table is None:
+            return ()
+        t = prefix + (EncodingFunction(width, table),)
+        tried: list[int] = []
+        found = _certify(S, t, cell, k_start, k_max, tried)
+        if found is not None:
+            return encf_count(width), encoding_rank(table), t[-1], *found
+        filled = []
+        for k in tried:
+            m, stage = _stage_for(S, k)[:2]
+            if not isinstance(stage, FamilyPatternSet):
+                return None
+            if stage.cell_mass(t) == cell:
+                filled.append((m, stage))
+        if not filled:
+            return ()  # rejected while open everywhere: every candidate is
+        m, stage = min(filled, key=lambda pair: pair[0])
+        if m <= floor_index:  # floor leaves t open, so a grown stage would too
+            raise EscapeContractViolation("the stages of the open set do not grow")
+        floor_index, floor = m, stage
 
 
 def _approx_escape(
@@ -271,31 +395,19 @@ def _approx_escape(
     steps: list[EscapeStep] = []
     for level in range(depth):
         chosen = None
-        candidates = candidates_at(level)
-        for idx, tau in enumerate(candidates):
-            t = _extend(prefix, tau)
-            cell = cell_volume(t)
-            k = k_start
-            while True:
-                eps = Fraction(1, 2**k)
-                f_val = conditional_measure_approx(S, t, k)
-                if f_val + eps < cell:
-                    chosen = (idx, tau, f_val, cell, k)
-                    break
-                if f_val - eps >= cell:
-                    break  # certified at or above the cell volume
-                if k >= k_max:
-                    break  # undecided: treat like the exact-mode rejection
-                k = min(2 * k, k_max)
-            if chosen is not None:
-                break
+        if S.kind == "family":
+            chosen = _approx_patterns(S, prefix, level + 1, k_start, k_max)
         if chosen is None:
+            if S.kind == "family" and level >= FAMILY_DEPTH_CAP:
+                raise ValueError(f"depth {level + 1} needs compact stages")
+            chosen = _approx_scan(S, prefix, candidates_at(level), k_start, k_max)
+        if not chosen:
             raise EscapeContractViolation(
                 f"no candidate at depth {level + 1} certified below its cell volume"
             )
-        idx, tau, f_val, cell, k_used = chosen
+        count, idx, tau, f_val, k_used = chosen
         prefix = _extend(prefix, tau)
-        steps.append(EscapeStep(level + 1, len(candidates), idx, f_val, cell, k_used))
+        steps.append(EscapeStep(level + 1, count, idx, f_val, cell_volume(prefix), k_used))
     return EscapeTranscript(S.kind, "approx", prefix, tuple(steps))
 
 
@@ -324,6 +436,14 @@ def escape_binary(
 
 
 FAMILY_DEPTH_CAP = 3
+PATTERN_DEPTH_CAP = 4
+
+
+def _compact(S) -> bool:
+    """True iff S is a compact set or an open set whose last stage is one."""
+    if isinstance(S, EnumeratedOpenSet):
+        return S.kind == "family" and isinstance(_stage_view(S, S.stage_cap)[0], FamilyPatternSet)
+    return isinstance(S, FamilyPatternSet)
 
 
 def escape_family(
@@ -335,17 +455,29 @@ def escape_family(
 ) -> EscapeTranscript:
     """Family prefix of the requested depth escaping a family open set.
 
-    Depth is capped at 3: the level-3 extension already searches 40320
-    candidate encodings.
+    Depth is capped at 3 over member sets, whose level-3 extension
+    already scans 40320 candidate encodings, and at 4 over compact sets
+    (``FamilyPatternSet`` stages), which are searched without a scan;
+    past 4, cell volumes need precisions beyond the default ``k_max``.
     """
-    if depth > FAMILY_DEPTH_CAP:
-        raise ValueError(f"family escape depth capped at {FAMILY_DEPTH_CAP}")
+    if depth > FAMILY_DEPTH_CAP and (depth > PATTERN_DEPTH_CAP or not _compact(S)):
+        raise ValueError(
+            f"family escape depth capped at {FAMILY_DEPTH_CAP}"
+            f" ({PATTERN_DEPTH_CAP} for constraint patterns)"
+        )
     candidates_at = lambda level: all_encodings(level + 1)
     return _escape(S, "family", depth, mode, candidates_at, k_start, k_max)
 
 
 def verify_escape(prefix, members: Iterable) -> bool:
-    """Independent check that no member of the set traps the prefix."""
+    """Independent check that no member of the set traps the prefix.
+
+    For a compact set: no level within the prefix hits it.
+    """
+    if isinstance(members, FamilyPatternSet):
+        if isinstance(prefix, str):
+            raise KindMismatchError("expected a binary set, got a family set")
+        return not members.covers(prefix)
     members = frozenset(members)
     kind_of(members, "binary" if isinstance(prefix, str) else "family")  # refuses mixed kinds
     return not any(prefix[: len(s)] == s for s in members)
@@ -369,10 +501,13 @@ def assemble_open_set(
     """Union of scheduled constraint-set blocks as one enumerated open set.
 
     Block m covers the pair ``phi(m) = (i, d)`` from cutoff ``g(m)`` on;
-    only levels up to the horizon are materialized (the toy registries
-    guarantee emptiness beyond it).  Every materialized set at a level
-    past ``f(i, 2d)`` must measure strictly below ``1/n**d``, otherwise
-    the schedule and the test family disagree and assembly refuses.
+    only levels up to the horizon are built (the toy registries
+    guarantee emptiness beyond it).  A family stage whose nonempty
+    blocks are all compact is their compact union; a stage holding any
+    plain frozenset block is the frozenset of every block's members.
+    Every block at a level past ``f(i, 2d)`` must measure strictly below
+    ``1/n**d``, otherwise the schedule and the test family disagree and
+    assembly refuses.
 
     The measure approximator evaluates the finite blocks prescribed for
     precision k: members with index m <= k + 1, levels below
@@ -400,9 +535,12 @@ def assemble_open_set(
         return cells[key]
 
     def union(pieces: Iterable[frozenset]) -> frozenset:
+        pieces = [piece for piece in pieces if piece]
+        if kind == "family" and all(isinstance(p, FamilyPatternSet) for p in pieces):
+            return FamilyPatternSet.union(pieces)
         out: set = set()
         for piece in pieces:
-            out |= piece
+            out.update(piece)
         return frozenset(out)
 
     @lru_cache(maxsize=None)
@@ -440,30 +578,25 @@ def build_ggm_testfamily(
     experiment: str = "dlog",
     exhaustive_cap: int = 3,
     member_cap: int = 1_000_000,
-) -> frozenset[FamilyPrefix]:
+) -> FamilyPatternSet:
     """Length-n prefixes whose last encoding breaks the 1/n**d target.
 
-    The bad encodings are thresholded in integers from the program's
-    instance plan over the table entries it reads
-    (``experiments.encodings_above``); no per-encoding ``Fraction`` is
-    built.  The first n - 1 coordinates are free; the set therefore
-    measures exactly (number of bad encodings) / (2**n)!.
+    Returned compact: the plan's table keys ``Z`` and the assignments to
+    them on which the program's success, thresholded in integers, beats
+    the target (``experiments.bad_assignments``); no encoding is built.
+    The first n - 1 coordinates are free; the set therefore measures
+    exactly (number of bad encodings) / (2**n)!.  Levels past
+    ``exhaustive_cap`` are refused, and so is a set standing for more
+    than ``member_cap`` members, which could not be iterated.
     """
-    from .experiments import encodings_above  # local import to avoid a cycle
+    from .experiments import bad_assignments  # local import to avoid a cycle
 
     if d < 2:
         raise ValueError("need d >= 2")
     if n > exhaustive_cap:
         raise ValueError(f"level {n} beyond the exhaustive cap {exhaustive_cap}")
     prog = program_for(n) if callable(program_for) else program_for
-    bad = encodings_above(prog, n, experiment, Fraction(1, n**d))
-    if not bad:
-        return frozenset()
-    free = cell_den("family", n - 1)
-    if free * len(bad) > member_cap:
-        raise ValueError(
-            f"{free * len(bad)} members would exceed the cap {member_cap}"
-        )
-    return frozenset(
-        head + (tail,) for head in family_prefixes_of_length(n - 1) for tail in bad
-    )
+    block = FamilyPatternSet({n: bad_assignments(prog, n, experiment, Fraction(1, n**d))})
+    if len(block) > member_cap:
+        raise ValueError(f"{len(block)} members would exceed the cap {member_cap}")
+    return block

@@ -14,12 +14,16 @@ each sigma(z) is uniform on 2**n values; they enumerate no encodings.
 The exhaustive path is still capped at width 3 (40320 permutations)
 unless the caller raises the cap explicitly.  The sampled path draws
 encodings from a seeded RNG, evaluates the plan on each by integer
-lookups, and is deterministic per seed.
+lookups, and is deterministic per seed; it refuses, before any prime is
+enumerated, a width whose least possible instance count exceeds
+``SAMPLED_INSTANCE_BUDGET``.
 
 Constraint sets ("encodings where the program beats a threshold") are
-thresholded from the plan as well: ``encodings_above`` compares integer
-hit counts, scores each assignment of values to the few table entries
-the plan reads once, and selects encodings by those entries alone.
+thresholded from the plan as well: ``bad_assignments`` compares integer
+hit counts over the few table entries ``Z`` the plan reads and returns
+the assignments to ``Z`` that cross, found by a walk that stops each
+branch once it can no longer cross.  ``encodings_above`` generates the
+encodings completing those assignments, with no scan of all encodings.
 
 ``success_vector`` builds one ``Fraction`` per encoding; it is the test
 oracle's path, not the constraint-set path.  ``dlog_success_for_sigma``,
@@ -35,18 +39,26 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from operator import getitem, itemgetter
 from typing import Sequence
 
-from .cylinder import EncodingFunction, all_encodings, encf_count
+from .cylinder import EncodingFunction, all_encodings, encf_count, pattern_encodings
 from .vm import GenericProgram, RunResult, coin_tapes, run_generic, run_symbolic
 
 EXHAUSTIVE_WIDTH_CAP = 3
+# Sampled mode runs every (prime, hidden values, coins) instance once;
+# a width is refused when even its least instance count, with one prime
+# of 2**(n-1), is larger.  The real count is about 1.5 times the number
+# of primes larger: width 13 dlog, the widest this admits without coins,
+# runs 2.8M instances, ~16 s on a 2-vCPU VM.
+SAMPLED_INSTANCE_BUDGET = 2**12
 
 
 class ExhaustiveCapExceeded(ValueError):
     """Exhaustive encoding enumeration was requested beyond the width cap."""
+
+
+class InstanceBudgetExceeded(ValueError):
+    """A sampled experiment would run more instances than the budget."""
 
 
 def _is_prime(k: int) -> bool:
@@ -177,7 +189,21 @@ def _primes(n: int) -> tuple[int, ...]:
 def _check_cap(n: int, exhaustive_cap: int) -> None:
     if n > exhaustive_cap:
         raise ExhaustiveCapExceeded(
-            f"width {n} needs {encf_count(n)} encodings; cap is {exhaustive_cap}"
+            f"width {n} needs (2**{n})! encodings; cap is {exhaustive_cap}"
+        )
+
+
+def _check_budget(prog: GenericProgram, n: int) -> None:
+    """Refuse a sampled width before its primes are enumerated.
+
+    A prime lies in ``[2**(n-1), 2**n)``, so there are at least
+    ``2**((n-1) * hidden values + coins)`` instances.
+    """
+    bits = (n - 1) * (prog.n_inputs - 1) + prog.coin_count
+    if n >= 2 and 2**bits > SAMPLED_INSTANCE_BUDGET:
+        raise InstanceBudgetExceeded(
+            f"width {n} needs at least 2**{bits} instances;"
+            f" the sampled-mode budget is {SAMPLED_INSTANCE_BUDGET}"
         )
 
 
@@ -225,33 +251,44 @@ class _InstancePlan:
         entries = sum(sum(row.values()) for row in self.weights.values())
         return Fraction(self.base * size + entries, self.den * size)
 
-    def encodings_above(self, threshold: Fraction) -> tuple[EncodingFunction, ...]:
-        """Encodings with success ``> threshold``, in lexicographic order.
+    def crossing(self, threshold: Fraction) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """Sorted keys ``Z`` and, in lexicographic order, the injective
+        assignments of values to ``Z`` on which success is ``> threshold``.
 
         ``hits / den > p / q`` holds iff the gain ``hits - base`` exceeds
-        ``p * den // q - base``.  The gain reads only the table entries at
-        the sorted keys ``Z`` of ``weights``, so each injective assignment
-        of values to ``Z`` is scored once, and an encoding is selected by
-        looking up its entries at ``Z`` among the assignments that cross.
+        ``p * den // q - base``, and the gain reads only the entries at
+        ``Z``.  The walk assigns the keys in order and drops a branch once
+        its gain plus the largest gains of the keys left cannot cross.
         """
         threshold = Fraction(threshold)
         cut = threshold.numerator * self.den // threshold.denominator - self.base
-        keys = sorted(self.weights)
-        if not keys:  # every encoding has gain 0
-            return all_encodings(self.width) if cut < 0 else ()
-        size = 1 << self.width
-        rows = [[self.weights[z].get(t, 0) for t in range(size)] for z in keys]
-        bad = {
-            values
-            for values in permutations(range(size), len(keys))
-            if sum(map(getitem, rows, values)) > cut
-        }
-        if not bad:
-            return ()
-        if len(keys) == 1:  # itemgetter of one key returns the entry itself
-            bad = {value for (value,) in bad}
-        read = itemgetter(*keys)
-        return tuple(sigma for sigma in all_encodings(self.width) if read(sigma.table) in bad)
+        keys = tuple(sorted(self.weights))
+        rows = [[self.weights[z].get(t, 0) for t in range(1 << self.width)] for z in keys]
+        reach = [0] * (len(keys) + 1)  # largest gain the keys from i on can add
+        for i in range(len(keys) - 1, -1, -1):
+            reach[i] = reach[i + 1] + max(rows[i])
+        found: list[tuple[int, ...]] = []
+        values: list[int] = []
+
+        def walk(i: int, gain: int) -> None:
+            if gain + reach[i] <= cut:
+                return
+            if i == len(keys):
+                found.append(tuple(values))
+                return
+            for t, w in enumerate(rows[i]):
+                if t not in values:
+                    values.append(t)
+                    walk(i + 1, gain + w)
+                    values.pop()
+
+        walk(0, 0)
+        return keys, tuple(found)
+
+    def encodings_above(self, threshold: Fraction) -> tuple[EncodingFunction, ...]:
+        """Encodings with success ``> threshold``, in lexicographic order:
+        the completions of the crossing assignments."""
+        return pattern_encodings(self.width, *self.crossing(threshold))
 
 
 def _instance_plan(
@@ -289,20 +326,20 @@ def _ggm_average(
     samples: int,
     exhaustive_cap: int,
 ) -> ExperimentResult:
-    primes = _primes(n)
     if mode == "exhaustive":
         _check_cap(n, exhaustive_cap)
-        plan = _instance_plan(prog, n, primes, experiment)
-        return ExperimentResult(
-            plan.average(), plan.max_queries, f"exhaustive:{encf_count(n)}"
-        )
+        plan = _instance_plan(prog, n, _primes(n), experiment)
+        # (2**n)! outgrows int-to-text conversion by width 12
+        count = encf_count(n) if n <= EXHAUSTIVE_WIDTH_CAP else f"(2**{n})!"
+        return ExperimentResult(plan.average(), plan.max_queries, f"exhaustive:{count}")
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None:
         raise ValueError("sampled mode requires a seed")
     if samples < 1:
         raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
-    plan = _instance_plan(prog, n, primes, experiment)
+    _check_budget(prog, n)
+    plan = _instance_plan(prog, n, _primes(n), experiment)
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
@@ -417,6 +454,23 @@ def success_vector(
     return tuple(Fraction(plan.hits(sigma.table), plan.den) for sigma in all_encodings(n))
 
 
+def bad_assignments(
+    prog: GenericProgram,
+    n: int,
+    experiment: str,
+    threshold: Fraction,
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The table keys ``Z`` a win at width n reads, and the assignments
+    to them on which success is ``> threshold``.
+
+    The encodings completing those assignments are exactly those above
+    the threshold; none of them is enumerated, so no width cap applies.
+    """
+    if experiment not in ("dlog", "cdh"):
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return _instance_plan(prog, n, _primes(n), experiment).crossing(threshold)
+
+
 def encodings_above(
     prog: GenericProgram,
     n: int,
@@ -428,7 +482,7 @@ def encodings_above(
     The same members as filtering ``success_vector`` by ``threshold``,
     computed from the instance plan in integers: no per-encoding
     ``Fraction`` is built.  Widths past ``EXHAUSTIVE_WIDTH_CAP`` are
-    refused, because the selection walks every encoding.
+    refused, because the answer may hold up to ``(2**n)!`` encodings.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")

@@ -13,6 +13,14 @@ positions the encoding sends to the guessed strings, which makes the
 over-threshold set a thin, nonempty slice of the encodings. Entries
 answer the always-invalid program beyond the horizon, so the assembled
 set is provably finite.
+
+Constraint blocks are compact (``FamilyPatternSet``): the few bad
+assignments to the table entries a program reads, never the member
+prefixes, which the ``members=`` counts of a report only count.  So the
+horizon and the escape depth reach 4 (``PATTERN_DEPTH_CAP``), where the
+width-4 blocks of the toy registry are empty and the escape's last step
+chooses among 16! encodings without a scan.  A block still refuses to
+stand for more than a million members, and widths past 4 are refused.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from typing import Callable
 
 from .cylinder import FamilyPrefix, all_bit_strings
 from .diagonal import (
+    PATTERN_DEPTH_CAP,
     EnumeratedOpenSet,
     EscapeTranscript,
     assemble_open_set,
@@ -69,12 +78,15 @@ def registry_testfamily(
     registry: tuple[GgmAdversary, ...],
     horizon: int = 3,
 ) -> Callable[[int, int, int], frozenset[FamilyPrefix]]:
-    """(i, d, n) -> materialized constraint set for the i-th adversary.
+    """(i, d, n) -> compact constraint set for the i-th adversary.
 
     Unregistered indices and levels beyond the horizon are empty; the
     per-(i, d, n) sets are cached because the assembly and its measure
-    approximator revisit them.
+    approximator revisit them.  Horizons past ``PATTERN_DEPTH_CAP`` are
+    refused.
     """
+    if horizon > PATTERN_DEPTH_CAP:
+        raise ValueError(f"horizon {horizon} is past the cap {PATTERN_DEPTH_CAP}")
 
     @lru_cache(maxsize=None)
     def family(i: int, d: int, n: int) -> frozenset:
@@ -82,7 +94,7 @@ def registry_testfamily(
             return frozenset()
         adversary = registry[i - 1]
         return build_ggm_testfamily(
-            adversary.program_for, d, n, experiment=adversary.experiment
+            adversary.program_for, d, n, experiment=adversary.experiment, exhaustive_cap=horizon
         )
 
     return family
@@ -138,6 +150,7 @@ def run_pipeline(
 
     ``schedule`` is "paper" (the derived escape schedule over the closed
     form with constant C) or "compressed" (the custom toy tables).
+    ``horizon`` and ``depth`` go up to ``PATTERN_DEPTH_CAP``.
     """
     registry = toy_registry(horizon)
     testfamily = registry_testfamily(registry, horizon)

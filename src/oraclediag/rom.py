@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .cylinder import Bits, all_bit_strings, normalize_prefix_free
+from .cylinder import Bits, _content_lines, all_bit_strings, normalize_prefix_free
 from .numbering import cantor_pair, cantor_unpair, nat_to_string, string_to_nat
 
 
@@ -158,10 +158,7 @@ def format_oracle_table(table: OracleTable) -> str:
 
 def parse_oracle_table(text: str) -> OracleTable:
     entries: dict[int, Bits] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         try:
             key, value = (part.strip() for part in line.split("->"))
         except ValueError:

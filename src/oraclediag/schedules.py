@@ -19,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from .cylinder import _content_lines
 from .numbering import phi_escape
 
 
@@ -165,10 +166,7 @@ def load_schedule_table(path: str | Path) -> Schedule:
     Lines may use whitespace or commas; ``#`` starts a comment.
     """
     pair_table: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(Path(path).read_text()):
         parts = line.replace(",", " ").split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'k d N', got {line!r}")

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cylinder import Bits, EncodingFunction
+from .cylinder import Bits, EncodingFunction, _content_lines
 from .numbering import string_to_nat
 
 OP_INPUT, OP_ADD, OP_INV, OP_CONST, OP_EQ, OP_COIN, OP_OUT_INT, OP_OUT_REG = range(8)
@@ -381,10 +381,7 @@ def parse_program(text: str) -> GenericProgram:
     name = "unnamed"
     n_inputs = coin_count = step_bound = None
     instructions: list[Instruction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         head, args = parts[0], parts[1:]
         try:

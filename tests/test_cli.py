@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ def assert_usage_error(argv):
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.startswith("error:")
+    return done
 
 
 class TestMeasure:
@@ -136,6 +138,18 @@ class TestExperiments:
     )
     def test_bad_inputs_are_usage_errors(self, argv):
         assert_usage_error(argv)
+
+    def test_wide_exhaustive_width_reports_the_cap(self):
+        done = assert_usage_error(["dlog", "--prog", "const_guess:0", "--n", "12"])
+        assert done.stderr == "error: width 12 needs (2**12)! encodings; cap is 3\n"
+
+    def test_wide_sampled_width_is_refused_quickly(self):
+        started = time.perf_counter()
+        done = assert_usage_error(
+            ["dlog", "--prog", "const_guess:0", "--n", "30", "--mode", "sample", "--seed", "1"]
+        )
+        assert time.perf_counter() - started < 5
+        assert "budget" in done.stderr
 
 
 class TestDiagonalize:

@@ -1,4 +1,6 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,9 @@ from oraclediag.cylinder import (
     subadditivity_check,
     validate_bits,
 )
+from oraclediag.rom import parse_oracle_table
+from oraclediag.schedules import load_schedule_table
+from oraclediag.vm import parse_program
 
 E1 = all_encodings(1)
 E2 = all_encodings(2)
@@ -300,3 +305,27 @@ class TestSerialization:
 def test_canonical_string_order():
     assert bit_strings_up_to(2) == ["", "0", "1", "00", "01", "10", "11"]
     assert all_bit_strings(0) == [""]
+
+
+def _load_schedule_text(text):
+    path = Path(tempfile.mkdtemp()) / "table.txt"
+    path.write_text(text)
+    return load_schedule_table(path)
+
+
+@pytest.mark.parametrize(
+    "parse,good,bad,message",
+    [
+        (parse_binary_set, "01", "0x1", "line 5: not a bit string: '0x1'"),
+        (parse_family_set, "1,0", "1,1", "line 5: table is not a permutation of range(2)"),
+        (parse_program, "inputs 2", "add 0", "line 5: bad arguments in 'add 0'"),
+        (parse_oracle_table, "0 -> 1", "0 1", "line 5: expected 'input -> output'"),
+        (_load_schedule_text, "1 4 2", "1 4", ":5: expected 'k d N', got '1 4'"),
+    ],
+    ids=["binary", "family", "program", "oracle-table", "schedule"],
+)
+def test_parse_errors_count_comment_and_blank_lines(parse, good, bad, message):
+    text = f"# header\n\n   # indented comment\n{good}  # trailing\n{bad} # trailing\n"
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value).endswith(message)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oraclediag.cylinder import all_bit_strings, all_encodings
 from oraclediag.experiments import (
     ExhaustiveCapExceeded,
+    InstanceBudgetExceeded,
     _hidden_tuples,
     _instance_plan,
     _InstancePlan,
@@ -480,3 +481,37 @@ def test_one_table_entry_per_win(n, idx):
     plan = _instance_plan(prog, n, nbit_primes(n), experiment)
     hits = sum(plan.hits(sigma.table) for sigma in all_encodings(n))
     assert plan.average() == Fraction(hits, plan.den * len(all_encodings(n)))
+
+
+class TestSampledBudget:
+    def test_refused_before_any_prime_is_enumerated(self, monkeypatch):
+        import oraclediag.experiments as experiments
+
+        def refuse(n):
+            raise AssertionError("primes enumerated")
+
+        monkeypatch.setattr(experiments, "nbit_primes", refuse)
+        for call in (
+            lambda: dlog_success_ggm(const_guess(0), 30, mode="sample", seed=1),
+            lambda: dlog_success_ggm(const_guess(0), 14, mode="sample", seed=1),
+            lambda: cdh_success_ggm(cdh_echo(), 8, mode="sample", seed=1),
+            lambda: dlog_success_ggm(random_guess(9), 5, mode="sample", seed=1),
+        ):
+            with pytest.raises(InstanceBudgetExceeded):
+                call()
+
+    def test_widths_up_to_five_still_answer(self):
+        for n in (2, 3, 4, 5):
+            for prog in (const_guess(1), linear_search(2), random_guess(3)):
+                result = dlog_success_ggm(prog, n, mode="sample", seed=n, samples=3)
+                assert 0 <= result.success <= 1
+            for prog in (cdh_echo(), cdh_const_guess("01")):
+                assert 0 <= cdh_success_ggm(prog, n, mode="sample", seed=n, samples=3).success <= 1
+
+
+def test_trials_text_past_the_width_cap():
+    assert dlog_success_ggm(const_guess(0), 3).trials == "exhaustive:40320"
+    wide = dlog_success_ggm(const_guess(0), 4, exhaustive_cap=4)
+    assert wide.trials == "exhaustive:(2**4)!"
+    with pytest.raises(ExhaustiveCapExceeded, match=r"\(2\*\*12\)! encodings"):
+        dlog_success_ggm(const_guess(0), 12)

@@ -1,0 +1,352 @@
+"""Compact family constraint sets held to their materialized members.
+
+Every compact result (members, sizes, measures, cell masses, stage
+searches, both escape modes, verification) must equal what the same
+question gives on the frozenset of the compact set's members, which
+goes through the member-by-member path.
+"""
+
+import itertools
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oraclediag.cylinder import (
+    FamilyPatternSet,
+    all_bit_strings,
+    all_encodings,
+    cell_mass,
+    encoding_rank,
+    family_prefixes_of_length,
+    least_encoding,
+    measure,
+    pattern_encodings,
+)
+from oraclediag.diagonal import (
+    EnumeratedOpenSet,
+    EscapeContractViolation,
+    KindMismatchError,
+    MeasureTooLargeError,
+    ScheduleBoundError,
+    StageCapExceeded,
+    assemble_open_set,
+    escape_binary,
+    escape_family,
+    verify_escape,
+)
+from oraclediag.experiments import bad_assignments, encodings_above
+from oraclediag.pipeline import (
+    GgmAdversary,
+    compressed_schedules,
+    registry_testfamily,
+    run_pipeline,
+)
+from oraclediag.programs import cdh_invalid, cdh_pin_table, const_guess
+from oraclediag.schedules import Schedule
+
+SLOW = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+E = (all_encodings(1)[1], all_encodings(2)[5], all_encodings(3)[100])
+
+
+def materialize(levels) -> frozenset:
+    """Members of a level -> (keys, assignments) mapping, by filtering."""
+    out = set()
+    for n, (keys, bad) in levels.items():
+        bad = set(map(tuple, bad))
+        tails = [e for e in all_encodings(n) if tuple(e.table[z] for z in keys) in bad]
+        out.update(head + (tail,) for head in family_prefixes_of_length(n - 1) for tail in tails)
+    return frozenset(out)
+
+
+@st.composite
+def level_patterns(draw, max_assignments=4, wide_keys=3):
+    """One level's keys and a few assignments, leaning on the identity's
+    entries so that the lexicographically first encodings are often hit.  Width 3
+    reads at least ``wide_keys`` keys, so that its members stay few enough
+    for the member-by-member path."""
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    least = wide_keys if n == 3 else 0
+    keys = draw(st.sets(st.integers(0, size - 1), min_size=least, max_size=min(4, size)))
+    keys = tuple(sorted(keys))
+    values = st.one_of(st.integers(0, min(3, size - 1)), st.integers(0, size - 1))
+    assignment = st.lists(values, min_size=len(keys), max_size=len(keys), unique=True).map(tuple)
+    bad = draw(st.lists(st.one_of(st.just(keys), assignment), max_size=max_assignments))
+    return n, keys, bad
+
+
+def prefixes(max_len=3):
+    return st.integers(0, max_len).flatmap(
+        lambda L: st.tuples(*(st.sampled_from(all_encodings(k)) for k in range(1, L + 1)))
+    )
+
+
+def outcome(fn):
+    """A call's value, or the type and text of the error it raised."""
+    try:
+        return fn()
+    except (
+        ValueError,
+        EscapeContractViolation,
+        MeasureTooLargeError,
+        ScheduleBoundError,
+        StageCapExceeded,
+    ) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def text_of(fn):
+    got = outcome(fn)
+    return got if isinstance(got, tuple) else got.to_text()
+
+
+# ---------------------------------------------------------------------------
+# The set itself
+# ---------------------------------------------------------------------------
+
+
+@settings(SLOW, max_examples=60)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sets(st.integers(0, (1 << n) - 1), min_size=n - 1, max_size=min(3, 1 << n)),
+            st.data(),
+        )
+    )
+)
+def test_least_encoding_and_expander_match_a_scan(args):
+    n, keys, data = args
+    keys = tuple(sorted(keys))
+    assignments = list(itertools.permutations(range(1 << n), len(keys)))
+    bad = data.draw(st.lists(st.sampled_from(assignments), max_size=8))
+    hit = lambda e: tuple(e.table[z] for z in keys) in set(bad)
+    expected = next((e.table for e in all_encodings(n) if not hit(e)), None)
+    assert least_encoding(n, keys, bad) == expected
+    assert pattern_encodings(n, keys, sorted(set(bad))) == tuple(filter(hit, all_encodings(n)))
+
+
+def test_encoding_rank_is_the_enumeration_index():
+    for n in (1, 2, 3):
+        ranks = [encoding_rank(e.table) for e in all_encodings(n)]
+        assert ranks == list(range(len(all_encodings(n))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(level_patterns(), max_size=3), st.lists(prefixes(), min_size=1, max_size=4))
+def test_members_measure_and_cell_mass(pieces, probes):
+    blocks = [FamilyPatternSet({n: (keys, bad)}) for n, keys, bad in pieces]
+    union = FamilyPatternSet.union(blocks)
+    members = frozenset().union(*(materialize(b.levels) for b in blocks))
+    assert union == members and members == union
+    assert len(union) == len(members) == len(list(union))
+    assert measure(union) == measure(members)
+    for t in probes:
+        assert cell_mass(union, t) == cell_mass(members, t)
+        assert (t in union) == (t in members)
+        assert verify_escape(t, union) == verify_escape(t, members)
+
+
+@settings(SLOW, max_examples=30)
+@given(st.lists(level_patterns(max_assignments=2, wide_keys=4), min_size=1, max_size=3))
+def test_a_compact_set_is_its_own_finite_open_set(pieces):
+    union = FamilyPatternSet.union(FamilyPatternSet({n: (keys, bad)}) for n, keys, bad in pieces)
+    members = frozenset(union)
+    for depth, mode in ((3, "exact"), (2, "approx")):
+        got = text_of(lambda: escape_family(union, depth, mode))
+        assert got == text_of(lambda: escape_family(members, depth, mode))
+    with pytest.raises(KindMismatchError):
+        escape_binary(union, 1)
+
+
+def test_union_of_blocks_reading_different_keys():
+    a = FamilyPatternSet({2: ((0,), [(1,)])})
+    b = FamilyPatternSet({2: ((3,), [(2,)]), 1: ((0,), [(1,)])})
+    union = FamilyPatternSet.union([a, b])
+    assert union.levels[2][0] == (0, 3)
+    assert union == frozenset(a) | frozenset(b)
+    assert measure(union) == measure(frozenset(union))
+
+
+def test_bad_assignments_complete_to_encodings_above():
+    prog = cdh_pin_table([(1, "01"), (2, "10"), (3, "11"), (4, "00")])
+    for d in (2, 3, 4):
+        keys, bad = bad_assignments(prog, 3, "cdh", Fraction(1, 3**d))
+        assert pattern_encodings(3, keys, bad) == encodings_above(prog, 3, "cdh", Fraction(1, 3**d))
+        assert list(bad) == sorted(bad)
+
+
+def test_refuses_malformed_levels():
+    with pytest.raises(ValueError):
+        FamilyPatternSet({2: ((1, 0), [(0, 1)])})  # keys out of order
+    with pytest.raises(ValueError):
+        FamilyPatternSet({2: ((0, 1), [(1, 1)])})  # not injective
+    with pytest.raises(ValueError):
+        FamilyPatternSet({2: ((0,), [(4,)])})  # value past the width
+
+
+# ---------------------------------------------------------------------------
+# Open sets over compact stages against the same stages materialized
+# ---------------------------------------------------------------------------
+
+
+def staged_pair(blocks, offsets):
+    """One open set over compact stages, one over their member sets.
+
+    Stage m is the union of the first m blocks; the approximator is low
+    by ``offsets[k % len] / 2**(k+2)``, within 2**-k of the measure, so
+    the stage search lands on different stages for different k.
+    """
+    stages = [FamilyPatternSet.union(blocks[:m]) for m in range(1, len(blocks) + 1)]
+    total = stages[-1].measure()
+
+    def approx(k):
+        return total - Fraction(offsets[k % len(offsets)], 2 ** (k + 2))
+
+    def build(view):
+        return EnumeratedOpenSet(
+            kind="family",
+            stages=lambda m: view(stages[min(m, len(stages)) - 1]),
+            measure_approx=approx,
+            stage_cap=len(stages),
+        )
+
+    return build(lambda s: s), build(frozenset)
+
+
+@settings(SLOW, max_examples=80)
+@given(
+    st.lists(level_patterns(max_assignments=2, wide_keys=4), min_size=1, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=3),
+    # (depth, k_start, k_max); k_max = 4 cannot decide a level-2 cell, and
+    # is kept off level 3, where the member path would scan 40320 cells
+    st.sampled_from(((3, 1, 64), (3, 2, 128), (3, 8, 128), (2, 2, 4))),
+)
+def test_escapes_over_compact_stages_match_member_sets(pieces, offsets, run):
+    depth, *precisions = run
+    blocks = [FamilyPatternSet({n: (keys, bad)}) for n, keys, bad in pieces]
+    compact, members = staged_pair(blocks, offsets)
+    for mode in ("exact", "approx"):
+        got = text_of(lambda: escape_family(compact, depth, mode, *precisions))
+        want = text_of(lambda: escape_family(members, depth, mode, *precisions))
+        assert got == want
+
+
+@st.composite
+def pin_tables(draw):
+    """Seeded pin tables: per adversary, one to four pins at width 2 and
+    four at width 3, whose blocks then stay small enough to list."""
+    return {
+        (a, n): [
+            (j, draw(st.sampled_from(all_bit_strings(n))))
+            for j in range(1, draw(st.integers(n + 1, 4)) + 1)
+        ]
+        for a in (1, 2)
+        for n in (2, 3)
+    }
+
+
+def pin_registry(tables):
+    def program_for(a):
+        return lambda n: cdh_pin_table(tables[(a, n)]) if 2 <= n <= 3 else cdh_invalid()
+
+    return tuple(GgmAdversary(f"pin{a}", "cdh", program_for(a)) for a in (1, 2))
+
+
+@settings(SLOW, max_examples=40)
+@given(
+    pin_tables(),
+    # cutoffs g(1..5); blocks 3 and 5 hold d = 3, whose width-3 sets run
+    # to 10**5 members, too many for the member path, so they start past
+    # the horizon
+    st.tuples(
+        *[st.sampled_from((2, 3, 4))] * 2, st.just(4), st.sampled_from((2, 3, 4)), st.just(4)
+    ),
+    st.sampled_from((2, 3, 9)),
+    st.sampled_from(((8, 128), (2, 32))),
+)
+def test_assembled_pin_tables_match_member_sets(tables, cutoffs, f_cutoff, precisions):
+    family = registry_testfamily(pin_registry(tables), 3)
+    f = Schedule.custom(pair_table={(i, dd): f_cutoff for i in (1, 2, 3) for dd in (4, 6, 8)})
+    g = Schedule.custom(unary_table=dict(enumerate(cutoffs, start=1)))
+
+    def assembled(fam):
+        return assemble_open_set(fam, f, m_max=5, horizon=3, g_schedule=g, kind="family")
+
+    compact = assembled(family)
+    members = assembled(lambda i, d, n: frozenset(family(i, d, n)))
+    for k in (0, 1, 3, 8):
+        got = outcome(lambda: compact.measure_approx(k))
+        assert got == outcome(lambda: members.measure_approx(k))
+    for r in (1, 2, 3):
+        stage = outcome(lambda: compact.stages(r))
+        assert stage == outcome(lambda: members.stages(r))
+        if isinstance(stage, FamilyPatternSet):
+            for t in ((), E[:1], E[:2], E[:3]):
+                assert cell_mass(stage, t) == cell_mass(members.stages(r), t)
+    for depth in (1, 3):
+        for mode in ("exact", "approx"):
+            got = text_of(lambda: escape_family(compact, depth, mode, *precisions))
+            assert got == text_of(lambda: escape_family(members, depth, mode, *precisions))
+    blocks = [(i, 2, n) for i in (1, 2) for n in (2, 3)]
+    prefix = outcome(lambda: escape_family(compact, 3))
+    for key in blocks:
+        block = outcome(lambda: family(*key))
+        if isinstance(block, FamilyPatternSet):
+            assert len(block) == len(frozenset(block))  # the members= lines
+            if not isinstance(prefix, tuple):
+                got = verify_escape(prefix.prefix, block)
+                assert got == verify_escape(prefix.prefix, frozenset(block))
+
+
+# ---------------------------------------------------------------------------
+# Depth and horizon 4
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_horizon_four_pipeline(mode):
+    started = time.perf_counter()
+    report = run_pipeline("compressed", depth=4, horizon=4, mode=mode)
+    assert time.perf_counter() - started < 2
+    assert report.verified
+    step = report.transcript.steps[3]
+    assert step.candidate_count == 20922789888000
+    assert "step 4 candidates 20922789888000 chosen 0" in report.summary()
+    assert all(s.trapped < s.cell for s in report.transcript.steps)
+    # the width-4 blocks exist and are empty at d = 2
+    assert {n for (_, _, n) in report.materialized} == {2, 3, 4}
+    assert not any(v for (_, _, n), v in report.materialized.items() if n == 4)
+
+
+def test_depth_and_horizon_caps():
+    tables = {(a, n): [(1, "01")] for a in (1, 2) for n in (2, 3)}
+    family = registry_testfamily(pin_registry(tables), 3)
+    f, g = compressed_schedules()
+    compact = assemble_open_set(family, f, m_max=5, g_schedule=g, kind="family")
+    assert len(escape_family(compact, 4).steps) == 4
+    with pytest.raises(ValueError, match="capped"):
+        escape_family(compact, 5)
+    with pytest.raises(ValueError, match="capped"):
+        escape_family(frozenset(FamilyPatternSet({2: ((0,), [(1,)])})), 4)
+    with pytest.raises(ValueError, match="horizon"):
+        run_pipeline("compressed", horizon=5)
+
+
+def test_bound_violations_match_member_sets():
+    """A program that wins on every encoding floods its level in both paths."""
+    family = registry_testfamily((GgmAdversary("flood", "dlog", lambda n: const_guess(0)),), 2)
+    f = Schedule.custom(pair_table={(1, 4): 2})
+    g = Schedule.custom(unary_table={1: 2})
+    compact, members = (
+        assemble_open_set(fam, f, m_max=1, horizon=2, g_schedule=g, kind="family")
+        for fam in (family, lambda i, d, n: frozenset(family(i, d, n)))
+    )
+    calls = (lambda S: S.measure_approx(2), lambda S: S.stages(1), lambda S: escape_family(S, 2))
+    for call in calls:
+        got = outcome(lambda: call(compact))
+        assert got[0] == "ScheduleBoundError"
+        assert got == outcome(lambda: call(members))
