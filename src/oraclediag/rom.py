@@ -8,20 +8,25 @@ blocks holding the whole table of a function on strings of length <= q
 sit at scattered, known offsets; a "bad" table therefore pins those bit
 positions and leaves every gap bit free.
 
+Bad tables are decided from the entries the experiment reads: one
+evaluator run per read path, not per table, under the same table-space
+cap; only the bad ones are expanded into tables.
+
 Pinning blows up when enumerated (the gaps between the blocks of one
 parameter grow quadratically), so constraint sets exist in two forms: a
 compact pattern (length + pinned positions), which is always available
 and measures exactly ``2**-pinned``, and a literal string set, which is
 only materialized under a size guard.  Measures computed from patterns
 never assume the counting identity they are used to verify: they dedupe,
-check pairwise disjointness positionally, and fall back to
+check pairwise disjointness positionally (patterns pinning the same
+positions are disjoint as soon as they differ), and fall back to
 inclusion-exclusion when sets overlap.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -38,6 +43,10 @@ class EllPoly:
     """Block-length polynomial; must be positive wherever it is evaluated."""
 
     coeffs: tuple[int, ...]
+    # bits taken by blocks 0..k-1, filled on demand by _prefix_length
+    _sums: list[int] = field(
+        default_factory=lambda: [0], init=False, compare=False, hash=False, repr=False
+    )
 
     def __call__(self, n: int) -> int:
         return sum(c * n**i for i, c in enumerate(self.coeffs))
@@ -51,12 +60,10 @@ class EllPoly:
 
 ELL_ONE = EllPoly((1,))
 
-_CUMSUM_CACHE: dict[EllPoly, list[int]] = {}
-
 
 def _prefix_length(ell: EllPoly, k: int) -> int:
     """Total bits occupied by blocks 0..k-1 of the flattened sequence."""
-    sums = _CUMSUM_CACHE.setdefault(ell, [0])
+    sums = ell._sums
     while len(sums) <= k:
         idx = len(sums) - 1
         width = ell(cantor_unpair(idx)[0])
@@ -125,9 +132,13 @@ class OracleTable:
             raise ValueError(f"all values must have {self.width} bits")
 
     def lookup(self, x: Bits) -> Bits:
-        if len(x) > self.q:
-            raise KeyError(f"{x!r} is longer than the query depth {self.q}")
-        return self.values[string_to_nat(x)]
+        return self.values[_query_index(self.q, x)]
+
+
+def _query_index(q: int, x: Bits) -> int:
+    if len(x) > q:
+        raise KeyError(f"{x!r} is longer than the query depth {q}")
+    return string_to_nat(x)
 
 
 def domain_size(q: int) -> int:
@@ -139,10 +150,14 @@ def table_count(q: int, width: int) -> int:
     return 2 ** (width * domain_size(q))
 
 
-def all_oracle_tables(q: int, width: int, cap: int = 2**20) -> Iterator[OracleTable]:
+def _check_table_count(q: int, width: int, cap: int) -> None:
     total = table_count(q, width)
     if total > cap:
         raise InfeasibleSizeError(f"{total} tables at (q={q}, width={width}); cap {cap}")
+
+
+def all_oracle_tables(q: int, width: int, cap: int = 2**20) -> Iterator[OracleTable]:
+    _check_table_count(q, width, cap)
     blocks = ["".join(bits) for bits in itertools.product("01", repeat=width)]
     for combo in itertools.product(blocks, repeat=domain_size(q)):
         yield OracleTable(q, width, combo)
@@ -181,7 +196,14 @@ def parse_oracle_table(text: str) -> OracleTable:
 
 @dataclass(frozen=True)
 class ExperimentOracle:
-    """Exact per-table success evaluator with its declared query budget."""
+    """Exact per-table success evaluator with its declared query budget.
+
+    The evaluator must be a deterministic function of the table and read
+    it only through ``lookup``, ``values``, ``q`` and ``width``:
+    ``bad_tables_for`` runs it on partially assigned tables, and takes
+    the value of a run that returns as its value on every table that
+    agrees on the entries the run read.
+    """
 
     ell: EllPoly
     evaluator: Callable[[int, OracleTable], Fraction]
@@ -263,10 +285,16 @@ def pattern_set_measure(patterns: Sequence[ConstraintPattern]) -> Fraction:
     unique = sorted(set(patterns), key=lambda p: (p.length, p.pins))
     if not unique:
         return Fraction(0)
+    # distinct patterns pinning the same positions of the same length
+    # differ in a pinned bit, so only pairs across groups need a test
+    groups: dict[tuple[int, tuple[int, ...]], list[ConstraintPattern]] = {}
+    for p in unique:
+        groups.setdefault((p.length, tuple(pos for pos, _ in p.pins)), []).append(p)
     if all(
-        unique[i].conflicts(unique[j])
-        for i in range(len(unique))
-        for j in range(i + 1, len(unique))
+        a.conflicts(b)
+        for one, other in itertools.combinations(groups.values(), 2)
+        for a in one
+        for b in other
     ):
         return sum((p.measure() for p in unique), Fraction(0))
     if len(unique) > 16:
@@ -346,22 +374,85 @@ def rom_testset_measure(n: int, q: int, ell: EllPoly, bad_count: int) -> Fractio
     return Fraction(bad_count, 2**pinned)
 
 
+class _Fork(BaseException):
+    """A probe table was read at an entry its assignment leaves open.
+
+    A ``BaseException``, so that an evaluator's ``except Exception``
+    cannot swallow it.
+    """
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+class _ProbeTable:
+    """An oracle table known only on the entries ``assigned`` fixes.
+
+    Reads of assigned entries answer as ``OracleTable`` would; the first
+    read of any other entry raises ``_Fork``.  Reading ``values`` reads
+    every entry, in index order.
+    """
+
+    def __init__(self, q: int, width: int, assigned: dict[int, Bits]):
+        self.q = q
+        self.width = width
+        self._assigned = assigned
+
+    def _read(self, j: int) -> Bits:
+        value = self._assigned.get(j)
+        if value is None:
+            raise _Fork(j)
+        return value
+
+    def lookup(self, x: Bits) -> Bits:
+        return self._read(_query_index(self.q, x))
+
+    @property
+    def values(self) -> tuple[Bits, ...]:
+        return tuple(self._read(j) for j in range(domain_size(self.q)))
+
+
 def bad_tables_for(
     oracle: ExperimentOracle,
     d: int,
     n: int,
     max_tables: int = 2**16,
 ) -> tuple[OracleTable, ...]:
-    """Tables whose success strictly exceeds 1/n**d, by full enumeration."""
+    """Tables whose success strictly exceeds 1/n**d, in enumeration order.
+
+    A run that reads an entry its probe leaves open forks into one probe
+    per value of that entry; a run that returns gives the success of
+    every table agreeing with its probe.  ``max_tables`` caps the table
+    space, as enumerating it would.
+    """
     if d < 2:
         raise ValueError("need d >= 2")
-    q = oracle.query_depth(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    q, width = oracle.query_depth(n), oracle.ell(n)
+    _check_table_count(q, width, max_tables)
     threshold = Fraction(1, n**d)
-    return tuple(
-        table
-        for table in all_oracle_tables(q, oracle.ell(n), cap=max_tables)
-        if oracle.success(n, table) > threshold
-    )
+    blocks = all_bit_strings(width)
+    size = domain_size(q)
+    bad: list[tuple[Bits, ...]] = []
+    stack: list[dict[int, Bits]] = [{}]
+    while stack:
+        assigned = stack.pop()
+        try:
+            value = oracle.success(n, _ProbeTable(q, width, assigned))
+        except _Fork as fork:
+            stack.extend({**assigned, fork.index: block} for block in blocks)
+            continue
+        if value > threshold:
+            free = [j for j in range(size) if j not in assigned]
+            row = [assigned.get(j) for j in range(size)]
+            for combo in itertools.product(blocks, repeat=len(free)):
+                for j, block in zip(free, combo):
+                    row[j] = block
+                bad.append(tuple(row))
+    # equal-width blocks: sorted value tuples are the enumeration order
+    return tuple(OracleTable(q, width, values) for values in sorted(bad))
 
 
 def build_rom_testfamily(

@@ -358,6 +358,7 @@ _MNEMONICS = {
     OP_OUT_INT: "out_int",
     OP_OUT_REG: "out_reg",
 }
+_LINE_HEADS = frozenset({"name", "inputs", "coins", "steps", *_MNEMONICS.values()})
 
 
 def format_program(prog: GenericProgram) -> str:
@@ -384,6 +385,8 @@ def parse_program(text: str) -> GenericProgram:
     for lineno, line in _content_lines(text):
         parts = line.split()
         head, args = parts[0], parts[1:]
+        if head not in _LINE_HEADS:
+            raise ProgramError(f"line {lineno}: unknown mnemonic {head!r}")
         try:
             if head == "name":
                 name = " ".join(args)
@@ -411,8 +414,6 @@ def parse_program(text: str) -> GenericProgram:
                 instructions.append((OP_OUT_INT, base, reduce))
             elif head == "out_reg":
                 instructions.append((OP_OUT_REG, int(args[0])))
-            else:
-                raise ProgramError(f"line {lineno}: unknown mnemonic {head!r}")
         except (IndexError, ValueError) as exc:
             raise ProgramError(f"line {lineno}: bad arguments in {line!r}") from exc
     if n_inputs is None:

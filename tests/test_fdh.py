@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from oraclediag import fdh
 from oraclediag.cylinder import all_bit_strings, binary_measure
 from oraclediag.fdh import (
     ADVERSARIES,
@@ -90,3 +91,35 @@ class TestExperimentOracle:
         oracle = fdh_experiment_oracle(SCHEME, "invert")
         strings = build_rom_testfamily(oracle, 2, 2)
         assert binary_measure(strings) == 1  # all 8 tables bad: 8 * 2**-3
+
+
+def _grid():
+    # q = 3 has 32768 tables, each evaluated by the brute force at every
+    # n: only n = 2 there
+    for q in (1, 2, 3):
+        for n in range(2, 10) if q < 3 else (2,):
+            yield q, n
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+def test_bad_tables_match_brute_force(adversary):
+    for q, n in _grid():
+        oracle = fdh_experiment_oracle(default_toy_scheme(q), adversary)
+        values = [(t, oracle.success(n, t)) for t in all_oracle_tables(q, 1)]
+        for d in (2, 3, 4):
+            expected = tuple(t for t, v in values if v > Fraction(1, n**d))
+            assert bad_tables_for(oracle, d, n) == expected, (q, n, d)
+
+
+def test_replay_decided_from_its_reads(monkeypatch):
+    """Replay reads one entry: one run forks on it, one run per value."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sigforge_toy(*args)
+
+    monkeypatch.setattr(fdh, "sigforge_toy", counted)
+    oracle = fdh_experiment_oracle(default_toy_scheme(3), "replay")
+    assert bad_tables_for(oracle, 2, 2) == ()
+    assert len(calls) <= 3

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclediag.cylinder import binary_measure, bit_strings_up_to
-from oraclediag.numbering import cantor_pair
+from oraclediag.numbering import cantor_pair, nat_to_string
 from oraclediag.rom import (
     ELL_ONE,
     ConstraintPattern,
@@ -16,6 +16,7 @@ from oraclediag.rom import (
     ExperimentOracle,
     InfeasibleSizeError,
     OracleTable,
+    RomTestFamily,
     all_oracle_tables,
     bad_tables_for,
     block_span,
@@ -60,6 +61,20 @@ class TestLayout:
                 spans.append((start, end))
         spans.sort()
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("coeffs", [(1,), (4,)])
+    def test_prefix_sums_belong_to_the_polynomial(self, coeffs):
+        width = coeffs[0]
+        ell = EllPoly(coeffs)
+        for n in range(6):
+            for j in range(6):
+                start = width * cantor_pair(n, j)
+                assert layout_position(n, j, ell) == start
+                assert block_span(n, j, ell) == (start, start + width)
+        fresh = EllPoly(coeffs)  # prefix sums not filled yet
+        assert fresh == ell and hash(fresh) == hash(ell)
+        assert {ell: "filled"}[fresh] == "filled"
+        assert layout_position(5, 5, fresh) == layout_position(5, 5, ell)
 
     def test_positive_width_required(self):
         with pytest.raises(ValueError):
@@ -234,6 +249,65 @@ class TestPatternMeasure:
         assert pattern_set_measure([a, b]) == Fraction(1, 2) + Fraction(1, 4)
 
 
+def _reference_pattern_measure(patterns):
+    """Plain pairwise disjointness test, else inclusion-exclusion over pins."""
+    unique = list(set(patterns))
+    if all(a.conflicts(b) for a, b in itertools.combinations(unique, 2)):
+        return sum((p.measure() for p in unique), Fraction(0))
+    if len(unique) > 16:
+        raise InfeasibleSizeError("too many overlapping patterns")
+    total = Fraction(0)
+    for r in range(1, len(unique) + 1):
+        for combo in itertools.combinations(unique, r):
+            pinned = {}
+            if all(pinned.setdefault(pos, bit) == bit for p in combo for pos, bit in p.pins):
+                total += (-1) ** (r + 1) * Fraction(1, 2 ** len(pinned))
+    return total
+
+
+@st.composite
+def pattern_sets(draw):
+    """Groups of patterns sharing length and pinned positions, plus strays.
+
+    Tagged groups pin positions 0 and 1 to their group number, so that
+    patterns of different groups conflict too.
+    """
+    tagged = draw(st.booleans())
+    out = []
+    for group in range(draw(st.integers(1, 3))):
+        tag = f"{group:02b}" if tagged else ""
+        length = draw(st.integers(len(tag), 6))
+        rest = draw(st.sets(st.integers(len(tag), max(length - 1, len(tag)))))
+        positions = [*range(len(tag)), *sorted(p for p in rest if p < length)]
+        width = len(positions) - len(tag)
+        for _ in range(draw(st.integers(1, 8))):
+            bits = tag + draw(st.text("01", min_size=width, max_size=width))
+            out.append(ConstraintPattern(length, tuple(zip(positions, bits))))
+    if not tagged:
+        out.extend(draw(st.lists(patterns().filter(lambda p: p.length <= 6), max_size=3)))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_sets())
+def test_pattern_measure_matches_pairwise_and_inclusion_exclusion(sets):
+    try:
+        expected = _reference_pattern_measure(sets)
+    except InfeasibleSizeError:
+        with pytest.raises(InfeasibleSizeError):
+            pattern_set_measure(sets)
+        return
+    assert pattern_set_measure(sets) == expected
+    assert binary_measure(frozenset().union(*(p.expand() for p in sets))) == expected
+
+
+def test_pattern_measure_caps_inclusion_exclusion():
+    overlapping = [ConstraintPattern(17, ((i, "1"),)) for i in range(17)]
+    with pytest.raises(InfeasibleSizeError):
+        pattern_set_measure(overlapping)
+    assert pattern_set_measure(overlapping[:2]) == Fraction(3, 4)
+
+
 class TestTestsetMeasure:
     def test_closed_form_values(self):
         assert rom_testset_measure(1, 1, ELL_ONE, 3) == Fraction(3, 8)
@@ -287,6 +361,107 @@ class TestRomTestfamily:
             build_rom_testfamily(oracle, 2, 2, max_tables=100)
 
 
+def _brute_force_bad(oracle, d, n):
+    """The bad set by definition: every table, evaluated and filtered."""
+    q, width = oracle.query_depth(n), oracle.ell(n)
+    threshold = Fraction(1, n**d)
+    return tuple(t for t in all_oracle_tables(q, width) if oracle.success(n, t) > threshold)
+
+
+@st.composite
+def adaptive_oracles(draw):
+    """Evaluators whose next read, and whether to read on, hang on earlier values.
+
+    Some read ``values``, some return values outside [0, 1], and every
+    one probes an over-long query and swallows ``Exception``s.
+    """
+    q, width = draw(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1)]))
+    seed = draw(st.integers(0, 2**32))
+    reads_values = draw(st.booleans())
+    out_of_range = draw(st.booleans())
+    size = domain_size(q)
+
+    def evaluator(n, table):
+        rng = random.Random(seed)
+        state = n
+        for _ in range(rng.randint(0, size + 1)):
+            if reads_values and state % 5 == 0:
+                state += sum(int(v, 2) for v in table.values)
+                continue
+            j = (rng.randrange(size) + state) % size
+            try:
+                state = 3 * state + int(table.lookup(nat_to_string(j)), 2) + 1
+            except Exception:  # unreachable on a whole table
+                return Fraction(0)
+            if state % 7 == 0:
+                break
+        try:
+            table.lookup("0" * (q + 1))
+        except KeyError:
+            state += 1
+        den = 2 ** rng.randint(0, 4)
+        if out_of_range and state % 13 == 0:
+            return rng.choice((1, -1)) * Fraction(den + 1 + state % 4, den)
+        return Fraction(state % (den + 1), den)
+
+    return ExperimentOracle(EllPoly((width,)), evaluator, lambda n: q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(adaptive_oracles(), st.integers(1, 4), st.integers(2, 4))
+def test_bad_tables_match_brute_force(oracle, n, d):
+    try:
+        expected = _brute_force_bad(oracle, d, n)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a probability"):
+            bad_tables_for(oracle, d, n)
+        return
+    assert bad_tables_for(oracle, d, n) == expected
+
+
+def test_evaluator_errors_pass_through():
+    def evaluator(n, table):
+        table.lookup("0")
+        return Fraction(table.lookup("00") == "1")  # deeper than q = 1
+
+    with pytest.raises(KeyError, match="longer than the query depth 1"):
+        bad_tables_for(ExperimentOracle(ELL_ONE, evaluator, lambda n: 1), 2, 2)
+
+
+def _counting_oracle(calls):
+    def evaluator(n, table):
+        calls.append(n)
+        return Fraction(1)
+
+    return ExperimentOracle(ELL_ONE, evaluator, lambda n: 1)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_parameter_below_one_rejected(n):
+    calls = []
+    oracle = _counting_oracle(calls)
+    family = RomTestFamily(oracle, d=2)
+    for build in (
+        lambda: bad_tables_for(oracle, 2, n),
+        lambda: build_rom_testfamily(oracle, 2, n),
+        lambda: family.component(n),
+    ):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            build()
+    assert calls == []
+
+
+def test_table_cap_checked_before_any_run():
+    calls = []
+    oracle = ExperimentOracle(EllPoly((4,)), _counting_oracle(calls).evaluator, lambda n: 2)
+    with pytest.raises(InfeasibleSizeError) as enumerated:
+        list(all_oracle_tables(2, 4, cap=100))
+    with pytest.raises(InfeasibleSizeError) as decided:
+        bad_tables_for(oracle, 2, 2, max_tables=100)
+    assert str(decided.value) == str(enumerated.value) == "268435456 tables at (q=2, width=4); cap 100"
+    assert calls == []
+
+
 def _flatten(rng, n, table, length):
     """Random flat sequence whose (n, j) blocks spell the given table."""
     bits = [rng.choice("01") for _ in range(length)]
@@ -309,7 +484,7 @@ def test_rom_testfamily_object_caches_components():
     )
     first = family.component(2)
     assert family.component(2) == first
-    assert calls.count(2) == 8  # the eight depth-1 tables, evaluated once each
+    assert calls.count(2) == 1  # reads no entry: one run decides all eight tables
     assert family.tail_union(2, 3) == solovay_to_ml(family.component, 2, 3)
 
 
