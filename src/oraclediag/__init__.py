@@ -8,62 +8,4 @@ identities, and the diagonal escape construction that produces finite
 prefixes provably outside an enumerated open set of measure below one.
 """
 
-from .cylinder import (
-    EncodingFunction,
-    FamilyPrefix,
-    all_encodings,
-    binary_measure,
-    encf_count,
-    family_cell_volume,
-    family_measure,
-    intersect_with_cell,
-    measure,
-    normalize_family_prefix_free,
-    normalize_prefix_free,
-)
-from .diagonal import (
-    EnumeratedOpenSet,
-    EscapeTranscript,
-    assemble_open_set,
-    build_ggm_testfamily,
-    conditional_measure_approx,
-    conditional_measure_exact,
-    escape_binary,
-    escape_family,
-    verify_escape,
-)
-from .experiments import (
-    AuditResult,
-    ExperimentResult,
-    cdh_success_for_sigma,
-    cdh_success_ggm,
-    dlog_success_for_sigma,
-    dlog_success_ggm,
-    minimal_shoup_constant,
-    shoup_audit,
-)
-from .numbering import cantor_pair, cantor_unpair, nat_to_string, phi_escape, string_to_nat
-from .rom import (
-    EllPoly,
-    ExperimentOracle,
-    OracleTable,
-    build_constraint_patterns,
-    build_constraint_strings,
-    build_rom_testfamily,
-    embed_ell_function,
-    extract_block,
-    layout_position,
-    rom_testset_measure,
-    solovay_to_ml,
-)
-from .schedules import (
-    Schedule,
-    dlog_schedule,
-    escape_schedule,
-    markov_exceed_count,
-    power_threshold_check,
-    tail_bound_check,
-)
-from .vm import GenericProgram, GroupOracle, run_generic, run_generic_reference
-
 __version__ = "0.1.0"

@@ -26,10 +26,6 @@ from .experiments import cdh_success_ggm, dlog_success_ggm, shoup_audit
 from .schedules import Schedule, load_schedule_table
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(rows, indent=2) + "\n"
@@ -49,23 +45,12 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"not a rational: {text!r}") from exc
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"not a rational: {text!r}") from exc
 
 
 def _parse_set(args) -> frozenset:
-    text = _read(args.set_file)
     parse = cylinder.parse_binary_set if args.kind == "binary" else cylinder.parse_family_set
-    try:
-        return parse(text)
-    except cylinder.SetFormatError as exc:
-        raise _UsageError(str(exc))
+    return parse(Path(args.set_file).read_text())
 
 
 def cmd_measure(args) -> int:
@@ -77,22 +62,14 @@ def cmd_measure(args) -> int:
 
 
 def _experiment_command(args, runner) -> int:
-    try:
-        prog = programs.build_program(args.prog, args.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    try:
-        if args.modulus is not None:
-            audit = shoup_audit(prog, args.n, args.modulus, args.C)
-            row = audit.row(prog.name, args.n, args.modulus, args.C)
-            code = 0 if audit.holds else 1
-        else:
-            result = runner(
-                prog, args.n, mode=args.mode, seed=args.seed, samples=args.samples
-            )
-            row, code = result.row(prog.name, args.n, "avg"), 0
-    except ValueError as exc:  # bad width, modulus, seed or sample count
-        raise _UsageError(str(exc))
+    prog = programs.build_program(args.prog, args.n)
+    if args.modulus is not None:
+        audit = shoup_audit(prog, args.n, args.modulus, args.C)
+        row = audit.row(prog.name, args.n, args.modulus, args.C)
+        code = 0 if audit.holds else 1
+    else:
+        result = runner(prog, args.n, mode=args.mode, seed=args.seed, samples=args.samples)
+        row, code = result.row(prog.name, args.n, "avg"), 0
     _emit([row], args.out, args.format)
     return code
 
@@ -106,33 +83,28 @@ def cmd_cdh(args) -> int:
 
 
 def cmd_diagonalize(args) -> int:
-    try:
-        if args.toy_pipeline:
-            report = pipeline.run_pipeline(
-                schedule=args.schedule, depth=args.depth, C=args.C, mode=args.mode
+    if args.toy_pipeline:
+        report = pipeline.run_pipeline(
+            schedule=args.schedule, depth=args.depth, C=args.C, mode=args.mode
+        )
+        out_text, code = report.summary(), 0 if report.verified else 1
+    else:
+        if not args.set_file:
+            raise ValueError("diagonalize needs a set file or --toy-pipeline")
+        members = _parse_set(args)
+        # normalized once here; the escape reuses it
+        wrapped = diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
+        total = wrapped.measure_approx(0)  # exact for a finite set
+        if total >= 1:
+            print(
+                f"refusing: the set has measure {total.numerator}/{total.denominator} >= 1",
+                file=sys.stderr,
             )
-            out_text, code = report.summary(), 0 if report.verified else 1
-        else:
-            if not args.set_file:
-                raise _UsageError("diagonalize needs a set file or --toy-pipeline")
-            members = _parse_set(args)
-            # normalized once here; the escape reuses it
-            wrapped = diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
-            total = wrapped.measure_approx(0)  # exact for a finite set
-            if total >= 1:
-                print(
-                    f"refusing: the set has measure {total.numerator}/{total.denominator} >= 1",
-                    file=sys.stderr,
-                )
-                return 1
-            escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
-            transcript = escape(wrapped, depth=args.depth, mode=args.mode)
-            out_text = transcript.to_text()
-            code = 0 if diagonal.verify_escape(transcript.prefix, members) else 1
-    except (diagonal.MeasureTooLargeError, diagonal.ScheduleBoundError):
-        raise  # failed properties, not usage
-    except (ValueError, OSError) as exc:  # bad schedule name, depth or schedule file
-        raise _UsageError(str(exc))
+            return 1
+        escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
+        transcript = escape(wrapped, depth=args.depth, mode=args.mode)
+        out_text = transcript.to_text()
+        code = 0 if diagonal.verify_escape(transcript.prefix, members) else 1
     if args.out:
         Path(args.out).write_text(out_text)
     else:
@@ -144,11 +116,8 @@ def _base_schedule(args) -> Schedule:
     if args.schedule == "paper":
         return Schedule.dlog_paper(args.C)
     if args.schedule.startswith("file:"):
-        try:
-            return load_schedule_table(args.schedule[5:])
-        except (ValueError, OSError) as exc:
-            raise _UsageError(str(exc))
-    raise _UsageError(f"unknown schedule {args.schedule!r} (use paper or file:PATH)")
+        return load_schedule_table(args.schedule[5:])
+    raise ValueError(f"unknown schedule {args.schedule!r} (use paper or file:PATH)")
 
 
 def cmd_schedule(args) -> int:
@@ -160,7 +129,7 @@ def cmd_schedule(args) -> int:
         g = Schedule.escape_from(base)
         rows.append({"kind": "g", "k": args.m, "d": "", "value": g.g(args.m)})
     if not rows:
-        raise _UsageError("schedule needs --k/--d and/or --m")
+        raise ValueError("schedule needs --k/--d and/or --m")
     _emit(rows, args.out, args.format)
     return 0
 
@@ -168,7 +137,7 @@ def cmd_schedule(args) -> int:
 def cmd_bounds(args) -> int:
     if args.check == "tail":
         if args.n is None or args.d is None:
-            raise _UsageError("tail check needs --n and --d")
+            raise ValueError("tail check needs --n and --d")
         lower, bound, holds = schedules.tail_bound_check(args.n, args.d, args.terms)
         print(
             f"partial {float(lower):.6f} bound {bound.numerator}/{bound.denominator} "
@@ -177,13 +146,13 @@ def cmd_bounds(args) -> int:
         return 0 if holds else 1
     if args.check == "power":
         if args.d is None or args.n_max is None:
-            raise _UsageError("power check needs --d and --n-max")
+            raise ValueError("power check needs --d and --n-max")
         holds = schedules.power_threshold_check(args.d, args.n_max)
         print("holds" if holds else "VIOLATED")
         return 0 if holds else 1
     if args.check == "markov":
         if not args.values:
-            raise _UsageError("markov check needs --values")
+            raise ValueError("markov check needs --values")
         values = [_parse_fraction(v) for v in args.values.split(",")]
         count, bound, holds = schedules.markov_exceed_count(
             values, _parse_fraction(args.epsilon), _parse_fraction(args.alpha)
@@ -193,7 +162,7 @@ def cmd_bounds(args) -> int:
             + ("holds" if holds else "VIOLATED")
         )
         return 0 if holds else 1
-    raise _UsageError(f"unknown check {args.check!r}")
+    raise ValueError(f"unknown check {args.check!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,12 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (diagonal.MeasureTooLargeError, diagonal.ScheduleBoundError) as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return 1
+    except (ValueError, OSError) as exc:  # bad arguments or unreadable files
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -114,9 +114,6 @@ class EncodingFunction:
         if len(self.table) != size or sorted(self.table) != list(range(size)):
             raise ValueError(f"table is not a permutation of range({size})")
 
-    def value(self, x: int) -> int:
-        return self.table[x]
-
     def encode(self, x: int) -> Bits:
         return format(self.table[x], f"0{self.n}b")
 
@@ -150,22 +147,6 @@ def all_encodings(n: int) -> tuple[EncodingFunction, ...]:
     )
 
 
-def is_binary_prefix_of(s: Bits, t: Bits) -> bool:
-    return t.startswith(s)
-
-
-def is_family_prefix_of(s: FamilyPrefix, t: FamilyPrefix) -> bool:
-    return len(s) <= len(t) and t[: len(s)] == s
-
-
-def _is_prefix_of(s, t) -> bool:
-    if isinstance(s, str) and isinstance(t, str):
-        return is_binary_prefix_of(s, t)
-    if isinstance(s, tuple) and isinstance(t, tuple):
-        return is_family_prefix_of(s, t)
-    raise KindMismatchError(f"cannot compare {type(s).__name__} with {type(t).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Normalization and measure
 # ---------------------------------------------------------------------------
@@ -193,14 +174,9 @@ def _normalize(members: Iterable) -> frozenset:
     return pool if len(kept) == len(pool) else frozenset(kept)
 
 
-def normalize_prefix_free(strings: Iterable[Bits]) -> frozenset[Bits]:
-    """Prefix-free representative of a binary cylinder set (same open set)."""
-    return _normalize(strings)
-
-
-def normalize_family_prefix_free(prefixes: Iterable[FamilyPrefix]) -> frozenset[FamilyPrefix]:
-    """Prefix-free representative of a family cylinder set (same open set)."""
-    return _normalize(prefixes)
+def normalize_prefix_free(members: Iterable) -> frozenset:
+    """Prefix-free representative of a cylinder set of either kind (same open set)."""
+    return _normalize(members)
 
 
 def kind_of(members: Iterable, expected: str | None = None) -> str | None:
@@ -305,34 +281,17 @@ def cell_mass(members: frozenset, t) -> Fraction:
     return prefix_free_measure(_normalize(inside), kind)
 
 
-def intersect_with_cell(members: Iterable, t) -> frozenset:
-    """Representative of ``open_set(members) & cell(t)``.
-
-    Built as ``T | {s in members : t is a prefix of s}`` where ``T = {t}``
-    exactly when some member is a prefix of ``t`` (then the whole cell is
-    inside the open set).
-    """
-    pool = frozenset(members)
-    if pool:
-        sample = next(iter(pool))
-        if isinstance(sample, str) != isinstance(t, str):
-            raise KindMismatchError("set members and cell prefix have different kinds")
-    extensions = {s for s in pool if _is_prefix_of(t, s)}
-    if any(_is_prefix_of(s, t) for s in pool):
-        extensions.add(t)
-    return frozenset(extensions)
-
-
 def open_set_covers(members: Iterable, s) -> bool:
     """True iff the cell of `s` lies inside the open set, by cell containment."""
-    return any(_is_prefix_of(m, s) for m in _normalize(members))
+    norm = _normalize(members)
+    kind_of(norm, "binary" if isinstance(s, str) else "family")
+    return any(s[: len(m)] == m for m in norm)
 
 
 def open_sets_disjoint(a: Iterable, b: Iterable) -> bool:
     na, nb = _normalize(a), _normalize(b)
-    return not any(
-        _is_prefix_of(x, y) or _is_prefix_of(y, x) for x in na for y in nb
-    )
+    kind_of(nb, kind_of(na))
+    return not any(x[: len(y)] == y or y[: len(x)] == x for x in na for y in nb)
 
 
 def subadditivity_check(sets: Sequence[Iterable]) -> bool:
@@ -362,10 +321,8 @@ def subadditivity_check(sets: Sequence[Iterable]) -> bool:
 def monotonicity_check(small: Iterable, big: Iterable) -> bool:
     """True unless cell containment holds but the measures are out of order."""
     small, big = frozenset(small), frozenset(big)
-    contained = all(open_set_covers(big, s) for s in _normalize(small))
-    if not contained:
-        return True
-    return measure(small) <= measure(big)
+    in_order = measure(small) <= measure(big)  # refuses a mixed set first
+    return in_order or not all(open_set_covers(big, s) for s in _normalize(small))
 
 
 # ---------------------------------------------------------------------------

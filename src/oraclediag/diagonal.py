@@ -491,16 +491,14 @@ def verify_escape(prefix, members: Iterable) -> bool:
 def assemble_open_set(
     testfamily: Callable[[int, int, int], frozenset],
     f_schedule: Schedule,
-    phi: Callable[[int], tuple[int, int]] = phi_escape,
     m_max: int = 6,
     horizon: int = 3,
     g_schedule: Schedule | None = None,
     kind: str = "family",
-    stage_cap: int = 64,
 ) -> EnumeratedOpenSet:
     """Union of scheduled constraint-set blocks as one enumerated open set.
 
-    Block m covers the pair ``phi(m) = (i, d)`` from cutoff ``g(m)`` on;
+    Block m covers the pair ``phi_escape(m) = (i, d)`` from cutoff ``g(m)`` on;
     only levels up to the horizon are built (the toy registries
     guarantee emptiness beyond it).  A family stage whose nonempty
     blocks are all compact is their compact union; a stage holding any
@@ -519,7 +517,7 @@ def assemble_open_set(
     cells: dict[tuple[int, int, int], frozenset] = {}
 
     def block(m: int, n: int) -> frozenset:
-        i, d = phi(m)
+        i, d = phi_escape(m)
         key = (i, d, n)
         if key not in cells:
             materialized = testfamily(i, d, n)
@@ -566,9 +564,11 @@ def assemble_open_set(
         kind=kind,
         stages=stages,
         measure_approx=measure_approx,
-        stage_cap=stage_cap,
         description=f"assembled[m<={m_max},horizon={horizon}]",
     )
+
+
+MEMBER_CAP = 1_000_000
 
 
 def build_ggm_testfamily(
@@ -577,7 +577,6 @@ def build_ggm_testfamily(
     n: int,
     experiment: str = "dlog",
     exhaustive_cap: int = 3,
-    member_cap: int = 1_000_000,
 ) -> FamilyPatternSet:
     """Length-n prefixes whose last encoding breaks the 1/n**d target.
 
@@ -587,7 +586,7 @@ def build_ggm_testfamily(
     The first n - 1 coordinates are free; the set therefore measures
     exactly (number of bad encodings) / (2**n)!.  Levels past
     ``exhaustive_cap`` are refused, and so is a set standing for more
-    than ``member_cap`` members, which could not be iterated.
+    than ``MEMBER_CAP`` members, which could not be iterated.
     """
     from .experiments import bad_assignments  # local import to avoid a cycle
 
@@ -597,6 +596,6 @@ def build_ggm_testfamily(
         raise ValueError(f"level {n} beyond the exhaustive cap {exhaustive_cap}")
     prog = program_for(n) if callable(program_for) else program_for
     block = FamilyPatternSet({n: bad_assignments(prog, n, experiment, Fraction(1, n**d))})
-    if len(block) > member_cap:
-        raise ValueError(f"{len(block)} members would exceed the cap {member_cap}")
+    if len(block) > MEMBER_CAP:
+        raise ValueError(f"{len(block)} members would exceed the cap {MEMBER_CAP}")
     return block

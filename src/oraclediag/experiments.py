@@ -22,14 +22,14 @@ Constraint sets ("encodings where the program beats a threshold") are
 thresholded from the plan as well: ``bad_assignments`` compares integer
 hit counts over the few table entries ``Z`` the plan reads and returns
 the assignments to ``Z`` that cross, found by a walk that stops each
-branch once it can no longer cross.  ``encodings_above`` generates the
-encodings completing those assignments, with no scan of all encodings.
+branch once it can no longer cross.  The test family keeps those
+assignments as patterns; no encoding is built.
 
 ``success_vector`` builds one ``Fraction`` per encoding; it is the test
 oracle's path, not the constraint-set path.  ``dlog_success_for_sigma``,
 ``cdh_success_for_sigma`` and ``success_vector(method="naive")`` rerun
-the reference-checked interpreter ``run_generic`` per encoding; they are
-the independent path the plan is tested against.
+the interpreter ``run_generic`` per encoding and decide each win from
+its output; they are the independent path the plan is tested against.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cylinder import EncodingFunction, all_encodings, encf_count, pattern_encodings
+from .cylinder import EncodingFunction, all_encodings, encf_count
 from .vm import GenericProgram, RunResult, coin_tapes, run_generic, run_symbolic
 
 EXHAUSTIVE_WIDTH_CAP = 3
@@ -285,15 +285,15 @@ class _InstancePlan:
         walk(0, 0)
         return keys, tuple(found)
 
-    def encodings_above(self, threshold: Fraction) -> tuple[EncodingFunction, ...]:
-        """Encodings with success ``> threshold``, in lexicographic order:
-        the completions of the crossing assignments."""
-        return pattern_encodings(self.width, *self.crossing(threshold))
-
 
 def _instance_plan(
     prog: GenericProgram, n: int, moduli: Sequence[int], experiment: str
 ) -> _InstancePlan:
+    arity = 2 if experiment == "dlog" else 3  # the generator and the hidden values
+    if prog.n_inputs != arity:
+        raise ValueError(
+            f"{prog.name} takes {prog.n_inputs} inputs; a {experiment} program takes {arity}"
+        )
     tapes = list(coin_tapes(prog.coin_count))
     top = 1 << n
     grid = [(N, list(_hidden_tuples(prog, N))) for N in moduli]
@@ -418,6 +418,8 @@ def shoup_audit(
     """
     if not 2 <= N <= 2**n - 1:
         raise ValueError(f"need 2 <= N <= 2**n - 1, got N={N} at n={n}")
+    if C < 1:
+        raise ValueError(f"need C >= 1, got {C}")
     _check_cap(n, exhaustive_cap)
     experiment = "cdh" if prog.n_inputs == 3 else "dlog"
     plan = _instance_plan(prog, n, (N,), experiment)
@@ -440,8 +442,8 @@ def success_vector(
     encoding table by integer lookups, and builds one Fraction per
     encoding over the common denominator.  The naive path reruns the full
     interpreter per encoding; both must agree, and the tests hold them to
-    that.  Constraint sets need only the encodings above a threshold and
-    take ``encodings_above`` instead.
+    that.  Constraint sets need only the assignments above a threshold and
+    take ``bad_assignments`` instead.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
@@ -469,25 +471,6 @@ def bad_assignments(
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
     return _instance_plan(prog, n, _primes(n), experiment).crossing(threshold)
-
-
-def encodings_above(
-    prog: GenericProgram,
-    n: int,
-    experiment: str,
-    threshold: Fraction,
-) -> tuple[EncodingFunction, ...]:
-    """Encodings of width n on which success is ``> threshold``, in order.
-
-    The same members as filtering ``success_vector`` by ``threshold``,
-    computed from the instance plan in integers: no per-encoding
-    ``Fraction`` is built.  Widths past ``EXHAUSTIVE_WIDTH_CAP`` are
-    refused, because the answer may hold up to ``(2**n)!`` encodings.
-    """
-    if experiment not in ("dlog", "cdh"):
-        raise ValueError(f"unknown experiment {experiment!r}")
-    _check_cap(n, EXHAUSTIVE_WIDTH_CAP)
-    return _instance_plan(prog, n, _primes(n), experiment).encodings_above(threshold)
 
 
 def minimal_shoup_constant(

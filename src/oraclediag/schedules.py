@@ -14,7 +14,7 @@ start of the m-th constraint block,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -79,15 +79,12 @@ def dlog_schedule(k: int, d: int, C: int) -> int:
     return max((2 * k + d + 1) ** 2, 2 * C)
 
 
-def escape_schedule(
-    m: int,
-    f: Callable[[int, int], int],
-    phi: Callable[[int], tuple[int, int]] = phi_escape,
-) -> int:
-    """Start of the m-th constraint block, ``(f(i, 2d) + 1)**(m + 1)``."""
+def escape_schedule(m: int, f: Callable[[int, int], int]) -> int:
+    """Start of the m-th constraint block, ``(f(i, 2d) + 1)**(m + 1)``
+    with ``(i, d) = phi_escape(m)``."""
     if m < 1:
         raise ValueError("m must be positive")
-    i, d = phi(m)
+    i, d = phi_escape(m)
     return (f(i, 2 * d) + 1) ** (m + 1)
 
 
@@ -110,7 +107,6 @@ class Schedule:
     pair_table: Mapping[tuple[int, int], int] | None = None
     unary_table: Mapping[int, int] | None = None
     base: "Schedule | None" = None
-    phi: Callable[[int], tuple[int, int]] = field(default=phi_escape, compare=False)
 
     @classmethod
     def dlog_paper(cls, C: int = 1) -> "Schedule":
@@ -144,7 +140,7 @@ class Schedule:
     def g(self, m: int) -> int:
         if self.kind == "escape":
             assert self.base is not None
-            return escape_schedule(m, self.base.f, self.phi)
+            return escape_schedule(m, self.base.f)
         if self.kind == "custom-table" and self.unary_table is not None:
             try:
                 value = self.unary_table[m]

@@ -15,13 +15,13 @@ instruction.  That keeps every path finite and makes the declared step
 bound checkable, at the price of requiring loops to be unrolled (all
 built-in programs are generated that way).
 
-The module has two interpreters.  ``run_generic`` simulates handles by
-their discrete logs, consulting sigma only at the output boundary; it is
-exact and fast.  ``run_generic_reference`` carries literal encoding
+The module has one fast interpreter and one reference.  ``run_symbolic``
+simulates handles by their discrete logs without any encoding and
+reports the output handle itself; the experiments build their instance
+plans on it, and ``run_generic`` is the same run with sigma applied to a
+register output.  ``run_generic_reference`` carries literal encoding
 strings through a :class:`GroupOracle` and validates every oracle call;
 it exists so the fast path can be checked against an independent one.
-``run_symbolic`` runs the same loop without any encoding and reports the
-output handle itself; the experiments build their instance plans on it.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ class GenericProgram:
             object.__setattr__(self, "step_bound", len(self.instructions))
         _validate(self)
 
-    @property
-    def register_count(self) -> int:
-        return sum(1 for ins in self.instructions if ins[0] in _VALUE_OPS)
-
 
 def _validate(prog: GenericProgram) -> None:
     instrs = prog.instructions
@@ -116,7 +112,6 @@ def _validate(prog: GenericProgram) -> None:
 class RunResult:
     output: int  # natural under the string identification
     queries: int
-    steps: int
 
 
 def run_generic(
@@ -129,59 +124,15 @@ def run_generic(
     """Execute a program against (N, sigma) with explicit inputs and coins.
 
     Inputs are the discrete logs of the handle inputs (in Z_N); the run is
-    deterministic given all arguments.
+    deterministic given all arguments.  It is :func:`run_symbolic` with
+    sigma applied to a register output.
     """
     if N < 1 or N > 2**sigma.n:
         raise ValueError(f"modulus {N} does not fit width {sigma.n}")
-    if len(inputs) != prog.n_inputs:
-        raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
-    if any(not 0 <= x < N for x in inputs):
-        raise ValueError("inputs must be group elements in Z_N")
-
-    instrs = prog.instructions
-    regs: list[int] = []
-    ip = 0
-    coin_idx = 0
-    queries = 0
-    steps = 0
-    bound = prog.step_bound
-    while True:
-        if steps >= bound:
-            raise StepBoundExceeded(f"{prog.name}: exceeded {bound} steps")
-        steps += 1
-        ins = instrs[ip]
-        op = ins[0]
-        if op == OP_ADD:
-            regs.append((regs[ins[1]] + regs[ins[2]]) % N)
-            queries += 1
-        elif op == OP_EQ:
-            if regs[ins[1]] == regs[ins[2]]:
-                ip = ins[3]
-                continue
-        elif op == OP_INPUT:
-            regs.append(inputs[ins[1]])
-        elif op == OP_INV:
-            regs.append(-regs[ins[1]] % N)
-            queries += 1
-        elif op == OP_CONST:
-            regs.append(ins[1] % N)
-        elif op == OP_COIN:
-            if coin_idx >= len(coins):
-                raise CoinsExhausted(f"{prog.name}: coin tape of {len(coins)} exhausted")
-            bit = coins[coin_idx]
-            coin_idx += 1
-            if bit == "1":
-                ip = ins[1]
-                continue
-        elif op == OP_OUT_INT:
-            value = N if ins[1] is None else ins[1]
-            if ins[2]:
-                value %= N
-            return RunResult(value, queries, steps)
-        else:  # OP_OUT_REG
-            nat = (1 << sigma.n) + sigma.table[regs[ins[1]]] - 1
-            return RunResult(nat, queries, steps)
-        ip += 1
+    kind, value, queries = run_symbolic(prog, N, inputs, coins)
+    if kind == "reg":
+        value = (1 << sigma.n) + sigma.table[value] - 1
+    return RunResult(value, queries)
 
 
 def run_symbolic(
@@ -293,6 +244,8 @@ def run_generic_reference(
     oracle = GroupOracle(N, sigma)
     if len(inputs) != prog.n_inputs:
         raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
+    if any(not 0 <= x < N for x in inputs):
+        raise ValueError("inputs must be group elements in Z_N")
     instrs = prog.instructions
     regs: list[Bits] = []
     ip = 0
@@ -328,10 +281,10 @@ def run_generic_reference(
             value = N if ins[1] is None else ins[1]
             if ins[2]:
                 value %= N
-            return RunResult(value, oracle.queries, steps)
+            return RunResult(value, oracle.queries)
         else:  # OP_OUT_REG
             oracle.decode(regs[ins[1]])  # reject anything outside the group
-            return RunResult(string_to_nat(regs[ins[1]]), oracle.queries, steps)
+            return RunResult(string_to_nat(regs[ins[1]]), oracle.queries)
         ip += 1
 
 

@@ -18,7 +18,6 @@ from oraclediag.cylinder import (
     family_measure,
     measure,
     monotonicity_check,
-    normalize_family_prefix_free,
     normalize_prefix_free,
     open_sets_disjoint,
     subadditivity_check,
@@ -92,20 +91,18 @@ def test_criterion_1_measure_axioms():
     for trial in range(1_000):
         if trial % 5 < 3:
             s = random_binary_set(rng, max_members=10, max_len=7)
-            normalize = normalize_prefix_free
             tag = lambda bit, members: frozenset(bit + x for x in members)
             other = random_binary_set(rng, max_members=6, max_len=5)
             parts = (tag("0", s), tag("1", other))
         else:
             s = random_family_set(rng, max_members=6, max_depth=2)
-            normalize = normalize_family_prefix_free
             e1 = all_encodings(1)
             retag = lambda e, members: frozenset(
                 (e,) + m[1:] for m in members if len(m) >= 1
             )
             other = random_family_set(rng, max_members=4, max_depth=2)
             parts = (retag(e1[0], s), retag(e1[1], other))
-        ok &= measure(s) == measure(normalize(s))
+        ok &= measure(s) == measure(normalize_prefix_free(s))
         ok &= monotonicity_check(s, s | other)
         ok &= subadditivity_check([s, other])
         ok &= open_sets_disjoint(*parts)

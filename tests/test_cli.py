@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oraclediag
 from oraclediag import cylinder, diagonal
@@ -133,8 +137,10 @@ class TestExperiments:
              "--seed", "1", "--samples", "0"],
             ["cdh", "--prog", "cdh_echo", "--n", "2", "--mode", "sample",
              "--seed", "1", "--samples", "-3"],
+            ["dlog", "--prog", "linear_search:2", "--n", "3", "--N", "5", "--C", "-1"],
+            ["cdh", "--prog", "const_guess:0", "--n", "2"],
         ],
-        ids=["n1", "n4", "N9", "samples0", "samples-3"],
+        ids=["n1", "n4", "N9", "samples0", "samples-3", "C-1", "dlog-program-in-cdh"],
     )
     def test_bad_inputs_are_usage_errors(self, argv):
         assert_usage_error(argv)
@@ -273,6 +279,22 @@ class TestScheduleAndBounds:
         assert code == 0
         assert "count 1" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "bounds --check tail --n 0 --d 2",
+            "bounds --check tail --n 1 --d 1",
+            "bounds --check tail --n 1 --d 2 --terms 0",
+            "bounds --check power --d 2 --n-max 5",
+            "bounds --check markov --values 1,2 --alpha 0",
+            "schedule --k 0 --d 1",
+            "schedule --m 0",
+            "schedule --k 1 --d 2 --C 0",
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, argv):
+        assert_usage_error(argv.split())
+
     def test_markov_bad_fraction(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--check", "markov", "--values", "1/x",
@@ -284,3 +306,59 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["dlog"])  # missing required flags
     assert excinfo.value.code == 2
+
+
+def _flags(draw, ranges):
+    argv = []
+    for flag, (lo, hi) in ranges.items():
+        value = draw(st.none() | st.integers(lo, hi))
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand with small integers, zero and negatives included, for
+    its numeric flags; sizes stay small enough for a quick run."""
+    command = draw(
+        st.sampled_from(["dlog", "cdh", "diagonalize", "schedule", "tail", "power", "markov"])
+    )
+    if command in ("dlog", "cdh"):
+        name = draw(st.sampled_from(
+            ["const_guess", "random_guess", "linear_search", "bsgs", "cdh_echo", "cdh_invalid"]
+        ))
+        argv = [command, "--prog", f"{name}:{draw(st.integers(-1, 3))}"]
+        argv += ["--n", str(draw(st.integers(-1, 3)))]
+        argv += draw(st.sampled_from([[], ["--mode", "sample"]]))
+        return argv + _flags(draw, {"--N": (-1, 8), "--C": (-2, 3), "--seed": (-2, 5),
+                                    "--samples": (-1, 8)})
+    if command == "diagonalize":
+        argv = [command, "--toy-pipeline", "--mode", draw(st.sampled_from(["exact", "approx"]))]
+        argv += ["--schedule", draw(st.sampled_from(["paper", "compressed"]))]
+        return argv + _flags(draw, {"--depth": (-2, 3), "--C": (-2, 3)})
+    if command == "schedule":
+        return [command] + _flags(draw, {"--k": (-2, 4), "--d": (-2, 4), "--m": (-2, 3),
+                                         "--C": (-2, 3)})
+    argv = ["bounds", "--check", command]
+    if command == "tail":
+        return argv + _flags(draw, {"--n": (-2, 5), "--d": (-2, 5), "--terms": (-2, 64)})
+    if command == "power":
+        return argv + _flags(draw, {"--d": (-2, 6), "--n-max": (-2, 200)})
+    values = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    argv += ["--values", ",".join(map(str, values))]
+    return argv + _flags(draw, {"--epsilon": (-2, 3), "--alpha": (-2, 3)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=cli_argvs())
+def test_small_integer_flags_keep_the_exit_contract(argv):
+    """Every subcommand exits 0, 1 or 2 on small integers, with no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

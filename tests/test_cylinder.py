@@ -21,10 +21,8 @@ from oraclediag.cylinder import (
     family_prefixes_of_length,
     format_binary_set,
     format_family_set,
-    intersect_with_cell,
     measure,
     monotonicity_check,
-    normalize_family_prefix_free,
     normalize_prefix_free,
     open_sets_disjoint,
     parse_binary_set,
@@ -87,7 +85,7 @@ class TestNormalize:
     def test_family_extension_dropped(self):
         short = (E1[0],)
         long = (E1[0], E2[3])
-        assert normalize_family_prefix_free({short, long}) == {short}
+        assert normalize_prefix_free({short, long}) == {short}
 
 
 class TestBinaryMeasure:
@@ -127,26 +125,6 @@ class TestFamilyMeasure:
         assert encf_count(3) == 40320
 
 
-class TestIntersect:
-    def test_cell_inside_member(self):
-        assert intersect_with_cell({"0"}, "00") == {"00"}
-
-    def test_keep_extensions(self):
-        assert intersect_with_cell({"00", "11"}, "0") == {"00"}
-
-    def test_disjoint(self):
-        assert intersect_with_cell({"11"}, "0") == frozenset()
-
-    def test_family(self):
-        s = {(E1[0], E2[0]), (E1[1], E2[0])}
-        assert intersect_with_cell(s, (E1[0],)) == {(E1[0], E2[0])}
-        assert intersect_with_cell({(E1[0],)}, (E1[0], E2[5])) == {(E1[0], E2[5])}
-
-    def test_kind_mismatch(self):
-        with pytest.raises(KindMismatchError):
-            intersect_with_cell({"0"}, (E1[0],))
-
-
 class TestChecks:
     def test_disjoint_additivity(self):
         assert subadditivity_check([{"0"}, {"1"}])
@@ -175,6 +153,18 @@ class TestMixedKinds:
         with pytest.raises(KindMismatchError):
             measure({"", "01", (E1[1], E2[0])})
 
+    @pytest.mark.parametrize(
+        "check",
+        [open_sets_disjoint, monotonicity_check, lambda a, b: monotonicity_check(b, a)],
+        ids=["disjoint", "monotone-small", "monotone-big"],
+    )
+    @pytest.mark.parametrize(
+        "other", [frozenset(), {"1"}, {(E1[1],)}], ids=["empty", "binary", "family"]
+    )
+    def test_checks_refuse_a_mixed_set(self, check, other):
+        with pytest.raises(KindMismatchError):
+            check(self.MIXED, other)
+
     def test_binary_measure_refuses_family_members(self):
         with pytest.raises(KindMismatchError):
             binary_measure(self.MIXED)
@@ -200,7 +190,7 @@ def test_normalize_matches_all_prefix_lengths_binary(s):
 @settings(max_examples=100)
 @given(st.frozensets(family_prefixes_to_depth_3(), max_size=10))
 def test_normalize_matches_all_prefix_lengths_family(s):
-    norm = normalize_family_prefix_free(s)
+    norm = normalize_prefix_free(s)
     assert norm == reference_normalize(s)
     expected = sum((cell_volume(x) for x in reference_normalize(s)), Fraction(0))
     assert family_measure(s) == measure(s) == expected
@@ -215,7 +205,7 @@ def test_measure_invariant_under_normalization(s):
 @settings(max_examples=80)
 @given(family_set)
 def test_family_measure_invariant_under_normalization(s):
-    assert family_measure(s) == family_measure(normalize_family_prefix_free(s))
+    assert family_measure(s) == family_measure(normalize_prefix_free(s))
 
 
 @settings(max_examples=150)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclediag.cylinder import all_bit_strings, all_encodings
+from oraclediag.cylinder import all_bit_strings, all_encodings, pattern_encodings
 from oraclediag.experiments import (
     ExhaustiveCapExceeded,
     InstanceBudgetExceeded,
@@ -14,11 +14,11 @@ from oraclediag.experiments import (
     _instance_plan,
     _InstancePlan,
     _win_entry,
+    bad_assignments,
     cdh_success_for_sigma,
     cdh_success_ggm,
     dlog_success_for_sigma,
     dlog_success_ggm,
-    encodings_above,
     largest_prime_factor,
     minimal_shoup_constant,
     nbit_primes,
@@ -195,6 +195,9 @@ class TestShoupAudit:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             shoup_audit(linear_search(1), 2, 4, C=1)  # 4 > 2**2 - 1
+        for C in (0, -1):
+            with pytest.raises(ValueError):
+                shoup_audit(linear_search(1), 2, 3, C=C)
 
     def test_row_shape(self):
         audit = shoup_audit(linear_search(1), 2, 3, C=4)
@@ -417,7 +420,7 @@ class TestEncodingsAbove:
         prog = PROGRAMS[n][idx]
         thresholds = [Fraction(1, n**d) for d in range(1, 5)] + [Fraction(0), Fraction(1)]
         for threshold in thresholds:
-            got = encodings_above(prog, n, _experiment(prog), threshold)
+            got = pattern_encodings(n, *bad_assignments(prog, n, _experiment(prog), threshold))
             assert got == _filtered(n, idx, threshold)
 
     @settings(max_examples=50, deadline=None)
@@ -428,37 +431,35 @@ class TestEncodingsAbove:
         idx = data.draw(st.integers(0, len(PROGRAM_IDS) - 1), label="program")
         threshold = data.draw(st.sampled_from(_vector(n, idx)[0]), label="threshold")
         prog = PROGRAMS[n][idx]
-        got = encodings_above(prog, n, _experiment(prog), threshold)
+        got = pattern_encodings(n, *bad_assignments(prog, n, _experiment(prog), threshold))
         assert got == _filtered(n, idx, threshold)
         assert len(got) < len(all_encodings(n))
 
     def test_empty_plan_is_all_or_nothing(self):
         plan = _InstancePlan(width=2, base=3, weights={}, den=8, max_queries=0)
-        assert plan.encodings_above(Fraction(1, 4)) == all_encodings(2)
-        assert plan.encodings_above(Fraction(3, 8)) == ()
-        assert plan.encodings_above(Fraction(1)) == ()
+        assert pattern_encodings(2, *plan.crossing(Fraction(1, 4))) == all_encodings(2)
+        assert pattern_encodings(2, *plan.crossing(Fraction(3, 8))) == ()
+        assert pattern_encodings(2, *plan.crossing(Fraction(1))) == ()
         for prog, everything in ((const_guess(0), True), (invalid_guess(), False)):
             assert not _instance_plan(prog, 2, nbit_primes(2), "dlog").weights
-            got = encodings_above(prog, 2, "dlog", 0)
+            got = pattern_encodings(2, *bad_assignments(prog, 2, "dlog", 0))
             assert got == (all_encodings(2) if everything else ())
 
     def test_one_key_plan(self):
         plan = _InstancePlan(width=2, base=1, weights={1: {2: 3, 0: 1}}, den=8, max_queries=0)
         for threshold, entries in ((Fraction(1, 8), {0, 2}), (Fraction(1, 4), {2}), (Fraction(1, 2), set())):
             expected = tuple(s for s in all_encodings(2) if s.table[1] in entries)
-            assert plan.encodings_above(threshold) == expected
+            assert pattern_encodings(2, *plan.crossing(threshold)) == expected
         prog = cdh_pin_table([(1, "10")])
         assert set(_instance_plan(prog, 2, nbit_primes(2), "cdh").weights) == {1}
         naive = success_vector(prog, 2, "cdh", "naive")
         for threshold in sorted(set(naive)) + [Fraction(-1)]:
             expected = tuple(e for e, s in zip(all_encodings(2), naive) if s > threshold)
-            assert encodings_above(prog, 2, "cdh", threshold) == expected
+            assert pattern_encodings(2, *bad_assignments(prog, 2, "cdh", threshold)) == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            encodings_above(cdh_echo(), 2, "ddh", Fraction(1, 2))
-        with pytest.raises(ExhaustiveCapExceeded):
-            encodings_above(cdh_echo(), 4, "cdh", Fraction(1, 2))
+            bad_assignments(cdh_echo(), 2, "ddh", Fraction(1, 2))
 
 
 @pytest.mark.parametrize("idx", range(len(PROGRAM_IDS)), ids=PROGRAM_IDS)

@@ -37,7 +37,7 @@ from oraclediag.diagonal import (
     escape_family,
     verify_escape,
 )
-from oraclediag.experiments import bad_assignments, encodings_above
+from oraclediag.experiments import bad_assignments, success_vector
 from oraclediag.pipeline import (
     GgmAdversary,
     compressed_schedules,
@@ -173,9 +173,12 @@ def test_union_of_blocks_reading_different_keys():
 
 def test_bad_assignments_complete_to_encodings_above():
     prog = cdh_pin_table([(1, "01"), (2, "10"), (3, "11"), (4, "00")])
+    vector = success_vector(prog, 3, "cdh")
     for d in (2, 3, 4):
-        keys, bad = bad_assignments(prog, 3, "cdh", Fraction(1, 3**d))
-        assert pattern_encodings(3, keys, bad) == encodings_above(prog, 3, "cdh", Fraction(1, 3**d))
+        threshold = Fraction(1, 3**d)
+        keys, bad = bad_assignments(prog, 3, "cdh", threshold)
+        above = tuple(e for e, s in zip(all_encodings(3), vector) if s > threshold)
+        assert pattern_encodings(3, keys, bad) == above
         assert list(bad) == sorted(bad)
 
 

@@ -1,10 +1,10 @@
 import pytest
+from test_experiments import REGISTRY_W2
 
 from oraclediag.cylinder import all_encodings
 from oraclediag.numbering import string_to_nat
 from oraclediag.programs import (
     bsgs,
-    cdh_echo,
     const_guess,
     invalid_guess,
     linear_search,
@@ -147,11 +147,7 @@ def test_group_oracle_rejects_foreign_strings():
         oracle.add(outside, sigma.encode(0))
 
 
-@pytest.mark.parametrize(
-    "prog",
-    [const_guess(0), invalid_guess(), linear_search(2), bsgs(2, 2), cdh_echo()],
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("prog", [*REGISTRY_W2, linear_search(2)], ids=lambda p: p.name)
 def test_fast_interpreter_matches_reference_width2(prog):
     """The handle simulation must agree with the string-level interpreter."""
     for sigma in E2:
@@ -181,11 +177,13 @@ def test_symbolic_run_matches_concrete():
 
 @pytest.mark.parametrize(
     "N,inputs",
-    [(0, (0, 0)), (-3, (0, 0)), (5, (1, 5)), (5, (-1, 2)), (5, (1,)), (5, (1, 2, 3))],
+    [(0, (0, 0)), (-3, (0, 0)), (5, (1, 5)), (5, (-1, 2)), (5, (1,)), (5, (1, 2, 3)),
+     (5, (1, -1)), (5, (6, 2))],
 )
 def test_symbolic_run_rejects_bad_inputs(N, inputs):
     for run in (lambda: run_symbolic(const_guess(0), N, inputs),
-                lambda: run_generic(const_guess(0), N, SIGMA, inputs)):
+                lambda: run_generic(const_guess(0), N, SIGMA, inputs),
+                lambda: run_generic_reference(const_guess(0), N, SIGMA, inputs)):
         with pytest.raises(ValueError):
             run()
 
