@@ -94,13 +94,6 @@ def cmd_diagonalize(args) -> int:
         members = _parse_set(args)
         # normalized once here; the escape reuses it
         wrapped = diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
-        total = wrapped.measure_approx(0)  # exact for a finite set
-        if total >= 1:
-            print(
-                f"refusing: the set has measure {total.numerator}/{total.denominator} >= 1",
-                file=sys.stderr,
-            )
-            return 1
         escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
         transcript = escape(wrapped, depth=args.depth, mode=args.mode)
         out_text = transcript.to_text()

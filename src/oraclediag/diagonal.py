@@ -90,7 +90,6 @@ class EnumeratedOpenSet:
     stages: Callable[[int], frozenset]
     measure_approx: Callable[[int], Fraction]
     stage_cap: int = 64
-    description: str = ""
     # precision k -> _stage_for result; lives and dies with this set
     _stage_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # stage index m -> _stage_view result, for a stage made prefix-free
@@ -118,13 +117,7 @@ class EnumeratedOpenSet:
             if kind is None:
                 raise ValueError("cannot infer the kind of an empty set")
             exact = prefix_free_measure(norm, kind)
-        S = cls(
-            kind=kind,
-            stages=lambda m: norm,
-            measure_approx=lambda k: exact,
-            stage_cap=1,
-            description=f"finite[{len(members)}]",
-        )
+        S = cls(kind=kind, stages=lambda m: norm, measure_approx=lambda k: exact, stage_cap=1)
         S._stages[1] = (norm, norm, exact)
         return S
 
@@ -560,15 +553,7 @@ def assemble_open_set(
                 pieces.append(block(m, n))
         return measure(union(pieces))
 
-    return EnumeratedOpenSet(
-        kind=kind,
-        stages=stages,
-        measure_approx=measure_approx,
-        description=f"assembled[m<={m_max},horizon={horizon}]",
-    )
-
-
-MEMBER_CAP = 1_000_000
+    return EnumeratedOpenSet(kind=kind, stages=stages, measure_approx=measure_approx)
 
 
 def build_ggm_testfamily(
@@ -585,8 +570,7 @@ def build_ggm_testfamily(
     the target (``experiments.bad_assignments``); no encoding is built.
     The first n - 1 coordinates are free; the set therefore measures
     exactly (number of bad encodings) / (2**n)!.  Levels past
-    ``exhaustive_cap`` are refused, and so is a set standing for more
-    than ``MEMBER_CAP`` members, which could not be iterated.
+    ``exhaustive_cap`` are refused.
     """
     from .experiments import bad_assignments  # local import to avoid a cycle
 
@@ -595,7 +579,4 @@ def build_ggm_testfamily(
     if n > exhaustive_cap:
         raise ValueError(f"level {n} beyond the exhaustive cap {exhaustive_cap}")
     prog = program_for(n) if callable(program_for) else program_for
-    block = FamilyPatternSet({n: bad_assignments(prog, n, experiment, Fraction(1, n**d))})
-    if len(block) > MEMBER_CAP:
-        raise ValueError(f"{len(block)} members would exceed the cap {MEMBER_CAP}")
-    return block
+    return FamilyPatternSet({n: bad_assignments(prog, n, experiment, Fraction(1, n**d))})

@@ -163,6 +163,7 @@ def dlog_success_for_sigma(
     prog: GenericProgram, n: int, sigma: EncodingFunction
 ) -> Fraction:
     """Exact success of the discrete-log experiment at one fixed encoding."""
+    _check_arity(prog, "dlog")
     success, _ = _success_over_instances(prog, sigma, _primes(n), _dlog_wins)
     return success
 
@@ -171,6 +172,7 @@ def cdh_success_for_sigma(
     prog: GenericProgram, n: int, sigma: EncodingFunction
 ) -> Fraction:
     """Exact success of the Diffie-Hellman experiment at one fixed encoding."""
+    _check_arity(prog, "cdh")
 
     def wins(res: RunResult, N: int, hidden: tuple) -> bool:
         return res.output == _cdh_target(sigma, N, *hidden)
@@ -184,6 +186,14 @@ def _primes(n: int) -> tuple[int, ...]:
     if not primes:
         raise ValueError(f"no {n}-bit prime exists; need n >= 2")
     return primes
+
+
+def _check_arity(prog: GenericProgram, experiment: str) -> None:
+    arity = 2 if experiment == "dlog" else 3  # the generator and the hidden values
+    if prog.n_inputs != arity:
+        raise ValueError(
+            f"{prog.name} takes {prog.n_inputs} inputs; a {experiment} program takes {arity}"
+        )
 
 
 def _check_cap(n: int, exhaustive_cap: int) -> None:
@@ -289,11 +299,7 @@ class _InstancePlan:
 def _instance_plan(
     prog: GenericProgram, n: int, moduli: Sequence[int], experiment: str
 ) -> _InstancePlan:
-    arity = 2 if experiment == "dlog" else 3  # the generator and the hidden values
-    if prog.n_inputs != arity:
-        raise ValueError(
-            f"{prog.name} takes {prog.n_inputs} inputs; a {experiment} program takes {arity}"
-        )
+    _check_arity(prog, experiment)
     tapes = list(coin_tapes(prog.coin_count))
     top = 1 << n
     grid = [(N, list(_hidden_tuples(prog, N))) for N in moduli]
@@ -443,10 +449,12 @@ def success_vector(
     encoding over the common denominator.  The naive path reruns the full
     interpreter per encoding; both must agree, and the tests hold them to
     that.  Constraint sets need only the assignments above a threshold and
-    take ``bad_assignments`` instead.
+    take ``bad_assignments`` instead.  Widths past ``EXHAUSTIVE_WIDTH_CAP``
+    are refused before any encoding is built.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
+    _check_cap(n, EXHAUSTIVE_WIDTH_CAP)
     if method == "naive":
         per = dlog_success_for_sigma if experiment == "dlog" else cdh_success_for_sigma
         return tuple(per(prog, n, sigma) for sigma in all_encodings(n))

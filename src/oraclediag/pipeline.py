@@ -19,8 +19,7 @@ assignments to the table entries a program reads, never the member
 prefixes, which the ``members=`` counts of a report only count.  So the
 horizon and the escape depth reach 4 (``PATTERN_DEPTH_CAP``), where the
 width-4 blocks of the toy registry are empty and the escape's last step
-chooses among 16! encodings without a scan.  A block still refuses to
-stand for more than a million members, and widths past 4 are refused.
+chooses among 16! encodings without a scan.  Widths past 4 are refused.
 """
 
 from __future__ import annotations

@@ -9,8 +9,10 @@ sit at scattered, known offsets; a "bad" table therefore pins those bit
 positions and leaves every gap bit free.
 
 Bad tables are decided from the entries the experiment reads: one
-evaluator run per read path, not per table, under the same table-space
-cap; only the bad ones are expanded into tables.
+evaluator run per read path, not per table; only the bad ones are
+expanded into tables.  Both this and the plain enumeration
+``all_oracle_tables`` refuse a table space past ``TABLE_SPACE_CAP``
+before any table is built or any run made.
 
 Pinning blows up when enumerated (the gaps between the blocks of one
 parameter grow quadratically), so constraint sets exist in two forms: a
@@ -28,10 +30,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .cylinder import Bits, _content_lines, all_bit_strings, normalize_prefix_free
-from .numbering import cantor_pair, cantor_unpair, nat_to_string, string_to_nat
+from .cylinder import Bits, all_bit_strings
+from .numbering import cantor_pair, cantor_unpair, string_to_nat
 
 
 class InfeasibleSizeError(ValueError):
@@ -50,12 +52,6 @@ class EllPoly:
 
     def __call__(self, n: int) -> int:
         return sum(c * n**i for i, c in enumerate(self.coeffs))
-
-    def check_positive(self, upto: int) -> "EllPoly":
-        bad = [n for n in range(upto + 1) if self(n) < 1]
-        if bad:
-            raise ValueError(f"block length must be positive; fails at n={bad[0]}")
-        return self
 
 
 ELL_ONE = EllPoly((1,))
@@ -86,25 +82,6 @@ def layout_position(n: int, j: int, ell: EllPoly) -> int:
 def block_span(n: int, j: int, ell: EllPoly) -> tuple[int, int]:
     start = layout_position(n, j, ell)
     return start, start + ell(n)
-
-
-def embed_ell_function(values: Mapping[tuple[int, int], Bits], depth: int) -> Bits:
-    """Concatenate blocks 0..depth-1 of an oracle given by (n, j) -> block."""
-    pieces = []
-    for k in range(depth):
-        pair = cantor_unpair(k)
-        try:
-            pieces.append(values[pair])
-        except KeyError:
-            raise KeyError(f"missing block for pair {pair} (position {k})")
-    return "".join(pieces)
-
-
-def extract_block(flat: Bits, n: int, j: int, ell: EllPoly) -> Bits:
-    start, end = block_span(n, j, ell)
-    if len(flat) < end:
-        raise ValueError(f"sequence too short: block (n={n}, j={j}) ends at {end}")
-    return flat[start:end]
 
 
 # ---------------------------------------------------------------------------
@@ -150,48 +127,23 @@ def table_count(q: int, width: int) -> int:
     return 2 ** (width * domain_size(q))
 
 
-def _check_table_count(q: int, width: int, cap: int) -> None:
+# largest table space either enumerator (all_oracle_tables, bad_tables_for) takes on
+TABLE_SPACE_CAP = 2**16
+
+
+def _check_table_count(q: int, width: int) -> None:
     total = table_count(q, width)
-    if total > cap:
-        raise InfeasibleSizeError(f"{total} tables at (q={q}, width={width}); cap {cap}")
+    if total > TABLE_SPACE_CAP:
+        raise InfeasibleSizeError(
+            f"{total} tables at (q={q}, width={width}); cap {TABLE_SPACE_CAP}"
+        )
 
 
-def all_oracle_tables(q: int, width: int, cap: int = 2**20) -> Iterator[OracleTable]:
-    _check_table_count(q, width, cap)
+def all_oracle_tables(q: int, width: int) -> Iterator[OracleTable]:
+    _check_table_count(q, width)
     blocks = ["".join(bits) for bits in itertools.product("01", repeat=width)]
     for combo in itertools.product(blocks, repeat=domain_size(q)):
         yield OracleTable(q, width, combo)
-
-
-def format_oracle_table(table: OracleTable) -> str:
-    lines = []
-    for j, value in enumerate(table.values):
-        key = nat_to_string(j) or "-"
-        lines.append(f"{key} -> {value}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_oracle_table(text: str) -> OracleTable:
-    entries: dict[int, Bits] = {}
-    for lineno, line in _content_lines(text):
-        try:
-            key, value = (part.strip() for part in line.split("->"))
-        except ValueError:
-            raise ValueError(f"line {lineno}: expected 'input -> output'")
-        key = "" if key in ("-", "λ") else key
-        entries[string_to_nat(key)] = value
-    if not entries:
-        raise ValueError("empty oracle table")
-    count = len(entries)
-    if sorted(entries) != list(range(count)):
-        raise ValueError("table is not total on an initial segment of the domain")
-    q = 0
-    while domain_size(q) < count:
-        q += 1
-    if domain_size(q) != count:
-        raise ValueError(f"{count} entries do not fill any domain of depth q")
-    width = len(entries[0])
-    return OracleTable(q, width, tuple(entries[j] for j in range(count)))
 
 
 @dataclass(frozen=True)
@@ -255,13 +207,6 @@ class ConstraintPattern:
         return ConstraintPattern(
             max(self.length, other.length), tuple(sorted(merged.items()))
         )
-
-    def expand(self, cap: int = 2**20) -> frozenset[Bits]:
-        if 2**self.free_bits > cap:
-            raise InfeasibleSizeError(
-                f"2**{self.free_bits} strings would exceed the cap {cap}"
-            )
-        return frozenset(self._strings())
 
     def _strings(self) -> Iterator[Bits]:
         """Every string of the pattern, without a size guard."""
@@ -417,21 +362,20 @@ def bad_tables_for(
     oracle: ExperimentOracle,
     d: int,
     n: int,
-    max_tables: int = 2**16,
 ) -> tuple[OracleTable, ...]:
     """Tables whose success strictly exceeds 1/n**d, in enumeration order.
 
     A run that reads an entry its probe leaves open forks into one probe
     per value of that entry; a run that returns gives the success of
-    every table agreeing with its probe.  ``max_tables`` caps the table
-    space, as enumerating it would.
+    every table agreeing with its probe.  ``TABLE_SPACE_CAP`` caps the
+    table space, as enumerating it would.
     """
     if d < 2:
         raise ValueError("need d >= 2")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     q, width = oracle.query_depth(n), oracle.ell(n)
-    _check_table_count(q, width, max_tables)
+    _check_table_count(q, width)
     threshold = Fraction(1, n**d)
     blocks = all_bit_strings(width)
     size = domain_size(q)
@@ -455,64 +399,7 @@ def bad_tables_for(
     return tuple(OracleTable(q, width, values) for values in sorted(bad))
 
 
-def build_rom_testfamily(
-    oracle: ExperimentOracle,
-    d: int,
-    n: int,
-    max_tables: int = 2**16,
-    max_strings: int = 2**20,
-) -> frozenset[Bits]:
+def build_rom_testfamily(oracle: ExperimentOracle, d: int, n: int) -> frozenset[Bits]:
     """Constraint strings of the tables that break the 1/n**d target at n."""
-    bad = bad_tables_for(oracle, d, n, max_tables=max_tables)
-    return build_constraint_strings(
-        n, oracle.query_depth(n), oracle.ell, bad, max_strings=max_strings
-    )
-
-
-class RomTestFamily:
-    """Per-parameter constraint sets for one experiment, built lazily.
-
-    ``component(n)`` is the constraint-string set of the tables breaking
-    the 1/n**d target at parameter n; computed sets are cached since the
-    tail unions below revisit them.
-    """
-
-    def __init__(self, oracle: ExperimentOracle, d: int, max_tables: int = 2**16):
-        if d < 2:
-            raise ValueError("need d >= 2")
-        self.oracle = oracle
-        self.d = d
-        self.max_tables = max_tables
-        self._cache: dict[int, frozenset[Bits]] = {}
-
-    def component(self, n: int) -> frozenset[Bits]:
-        if n not in self._cache:
-            self._cache[n] = build_rom_testfamily(
-                self.oracle, self.d, n, max_tables=self.max_tables
-            )
-        return self._cache[n]
-
-    def tail_union(self, n: int, k_max: int) -> frozenset[Bits]:
-        return solovay_to_ml(self.component, n, k_max)
-
-
-def solovay_to_ml(
-    component: Callable[[int], frozenset[Bits]], n: int, k_max: int
-) -> frozenset[Bits]:
-    """Finite truncation of the tail union: components n..k_max, normalized."""
-    if k_max < n:
-        raise ValueError("k_max must be at least n")
-    union: set[Bits] = set()
-    for k in range(n, k_max + 1):
-        union |= component(k)
-    return normalize_prefix_free(union)
-
-
-def format_table_set(tables: Sequence[OracleTable]) -> str:
-    """Bad-set serialization: tables in the arrow format, blank-line separated."""
-    return "\n".join(format_oracle_table(t) for t in tables)
-
-
-def parse_table_set(text: str) -> tuple[OracleTable, ...]:
-    chunks = [c for c in text.split("\n\n") if c.strip()]
-    return tuple(parse_oracle_table(c) for c in chunks)
+    bad = bad_tables_for(oracle, d, n)
+    return build_constraint_strings(n, oracle.query_depth(n), oracle.ell, bad)

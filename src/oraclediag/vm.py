@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cylinder import Bits, EncodingFunction, _content_lines
+from .cylinder import Bits, EncodingFunction
 from .numbering import string_to_nat
 
 OP_INPUT, OP_ADD, OP_INV, OP_CONST, OP_EQ, OP_COIN, OP_OUT_INT, OP_OUT_REG = range(8)
@@ -296,85 +296,3 @@ def coin_tapes(count: int) -> Iterator[str]:
     for bits in itertools.product("01", repeat=count):
         yield "".join(bits)
 
-
-# ---------------------------------------------------------------------------
-# Line-oriented assembly format
-# ---------------------------------------------------------------------------
-
-_MNEMONICS = {
-    OP_INPUT: "input",
-    OP_ADD: "add",
-    OP_INV: "inv",
-    OP_CONST: "const",
-    OP_EQ: "eq",
-    OP_COIN: "coin",
-    OP_OUT_INT: "out_int",
-    OP_OUT_REG: "out_reg",
-}
-_LINE_HEADS = frozenset({"name", "inputs", "coins", "steps", *_MNEMONICS.values()})
-
-
-def format_program(prog: GenericProgram) -> str:
-    lines = [
-        f"name {prog.name}",
-        f"inputs {prog.n_inputs}",
-        f"coins {prog.coin_count}",
-        f"steps {prog.step_bound}",
-    ]
-    for ins in prog.instructions:
-        op = ins[0]
-        if op == OP_OUT_INT:
-            base = "N" if ins[1] is None else str(ins[1])
-            lines.append(f"out_int {base} mod" if ins[2] else f"out_int {base}")
-        else:
-            lines.append(" ".join([_MNEMONICS[op], *(str(a) for a in ins[1:])]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_program(text: str) -> GenericProgram:
-    name = "unnamed"
-    n_inputs = coin_count = step_bound = None
-    instructions: list[Instruction] = []
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        head, args = parts[0], parts[1:]
-        if head not in _LINE_HEADS:
-            raise ProgramError(f"line {lineno}: unknown mnemonic {head!r}")
-        try:
-            if head == "name":
-                name = " ".join(args)
-            elif head == "inputs":
-                n_inputs = int(args[0])
-            elif head == "coins":
-                coin_count = int(args[0])
-            elif head == "steps":
-                step_bound = int(args[0])
-            elif head == "input":
-                instructions.append((OP_INPUT, int(args[0])))
-            elif head == "add":
-                instructions.append((OP_ADD, int(args[0]), int(args[1])))
-            elif head == "inv":
-                instructions.append((OP_INV, int(args[0])))
-            elif head == "const":
-                instructions.append((OP_CONST, int(args[0])))
-            elif head == "eq":
-                instructions.append((OP_EQ, int(args[0]), int(args[1]), int(args[2])))
-            elif head == "coin":
-                instructions.append((OP_COIN, int(args[0])))
-            elif head == "out_int":
-                base = None if args[0] == "N" else int(args[0])
-                reduce = len(args) > 1 and args[1] == "mod"
-                instructions.append((OP_OUT_INT, base, reduce))
-            elif head == "out_reg":
-                instructions.append((OP_OUT_REG, int(args[0])))
-        except (IndexError, ValueError) as exc:
-            raise ProgramError(f"line {lineno}: bad arguments in {line!r}") from exc
-    if n_inputs is None:
-        raise ProgramError("missing 'inputs' directive")
-    return GenericProgram(
-        name=name,
-        instructions=tuple(instructions),
-        n_inputs=n_inputs,
-        coin_count=coin_count or 0,
-        step_bound=step_bound or 0,
-    )

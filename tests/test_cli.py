@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -350,15 +351,52 @@ def cli_argvs(draw):
     return argv + _flags(draw, {"--epsilon": (-2, 3), "--alpha": (-2, 3)})
 
 
-@settings(max_examples=60, deadline=None)
-@given(argv=cli_argvs())
-def test_small_integer_flags_keep_the_exit_contract(argv):
-    """Every subcommand exits 0, 1 or 2 on small integers, with no traceback."""
+_ENCODING_TOKENS = [
+    st.sampled_from([cylinder.format_encoding(e) for e in cylinder.all_encodings(k)])
+    for k in (1, 2)
+]
+
+
+@st.composite
+def set_file_runs(draw):
+    """``measure`` or ``diagonalize`` over a drawn set file of either kind,
+    in either mode: members, sets of measure >= 1, junk lines."""
+    kind = draw(st.sampled_from(["binary", "family"]))
+    if kind == "binary":
+        member = st.just("-") | st.text("01", min_size=1, max_size=4)
+        full = [["-"], ["0", "1"], ["00", "01", "1"]]
+    else:
+        level1, level2 = _ENCODING_TOKENS
+        member = st.just("-") | level1 | st.tuples(level1, level2).map(" ".join)
+        full = [["-"], ["0,1", "1,0"]]
+    junk = st.sampled_from(["0x1", "1,1", "2,0", "0,1 3,2,1", "abc", "# note", "01 # note", "λ"])
+    lines = draw(st.lists(member, max_size=6)) + draw(st.lists(junk, max_size=1))
+    if draw(st.booleans()):
+        lines += draw(st.sampled_from(full))
+    text = "\n".join(draw(st.permutations(lines))) + "\n"
+    argv = [draw(st.sampled_from(["measure", "diagonalize"])), "{set}", "--kind", kind]
+    if argv[0] == "diagonalize":
+        argv += ["--mode", draw(st.sampled_from(["exact", "approx"]))]
+        argv += _flags(draw, {"--depth": (-2, 4)})
+    return argv, text
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=st.tuples(cli_argvs(), st.none()) | set_file_runs())
+def test_small_integer_flags_keep_the_exit_contract(run):
+    """Every subcommand exits 0, 1 or 2 on small integers and on drawn set
+    files, with no traceback."""
+    argv, text = run
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's own usage errors
-            code = exc.code
-    assert code in (0, 1, 2), (argv, code)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.txt"
+        if text is not None:
+            path.write_text(text)
+        argv = [str(path) if a == "{set}" else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (argv, text, code)
     assert "Traceback" not in err.getvalue()

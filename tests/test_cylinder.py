@@ -30,9 +30,7 @@ from oraclediag.cylinder import (
     subadditivity_check,
     validate_bits,
 )
-from oraclediag.rom import parse_oracle_table
 from oraclediag.schedules import load_schedule_table
-from oraclediag.vm import parse_program
 
 E1 = all_encodings(1)
 E2 = all_encodings(2)
@@ -308,12 +306,9 @@ def _load_schedule_text(text):
     [
         (parse_binary_set, "01", "0x1", "line 5: not a bit string: '0x1'"),
         (parse_family_set, "1,0", "1,1", "line 5: table is not a permutation of range(2)"),
-        (parse_program, "inputs 2", "add 0", "line 5: bad arguments in 'add 0'"),
-        (parse_program, "inputs 2", "jump 3", "line 5: unknown mnemonic 'jump'"),
-        (parse_oracle_table, "0 -> 1", "0 1", "line 5: expected 'input -> output'"),
         (_load_schedule_text, "1 4 2", "1 4", ":5: expected 'k d N', got '1 4'"),
     ],
-    ids=["binary", "family", "program", "program-mnemonic", "oracle-table", "schedule"],
+    ids=["binary", "family", "schedule"],
 )
 def test_parse_errors_count_comment_and_blank_lines(parse, good, bad, message):
     text = f"# header\n\n   # indented comment\n{good}  # trailing\n{bad} # trailing\n"

@@ -398,9 +398,10 @@ class TestGgmTestfamily:
         vector = success_vector(const_guess(0), 3, "dlog")
         assert set(vector) == {Fraction(6, 35)}
         assert all(v > Fraction(1, 9) for v in vector)
-        # materializing 48 * 40320 members is pointless; the cap guards it
-        with pytest.raises(ValueError):
-            build_ggm_testfamily(const_guess(0), 2, 3)
+        # compact: 48 * 40320 members, held as one empty assignment
+        block = build_ggm_testfamily(const_guess(0), 2, 3)
+        assert block.levels == {3: ((), frozenset({()}))}
+        assert len(block) == 48 * 40320 and block.measure() == 1
 
     def test_measure_identity(self):
         members = build_ggm_testfamily(linear_search(1), 2, 2)

@@ -245,6 +245,28 @@ def test_success_vector_fast_matches_naive(prog, experiment):
     )
 
 
+@pytest.mark.parametrize("method", ["fast", "naive"])
+def test_success_vector_refuses_past_the_width_cap(monkeypatch, method):
+    import oraclediag.experiments as experiments
+
+    def refuse(n):
+        raise AssertionError("encodings enumerated")
+
+    monkeypatch.setattr(experiments, "all_encodings", refuse)
+    with pytest.raises(ExhaustiveCapExceeded, match=r"width 4 needs \(2\*\*4\)! encodings"):
+        success_vector(const_guess(0), 4, "dlog", method)
+
+
+def test_naive_oracle_refuses_the_wrong_input_count():
+    sigma = E2[0]
+    with pytest.raises(ValueError, match="cdh_echo takes 3 inputs; a dlog program takes 2"):
+        dlog_success_for_sigma(cdh_echo(), 2, sigma)
+    with pytest.raises(ValueError, match="takes 2 inputs; a cdh program takes 3"):
+        cdh_success_for_sigma(const_guess(0), 2, sigma)
+    with pytest.raises(ValueError, match="a dlog program takes 2"):
+        success_vector(cdh_echo(), 2, "dlog", "naive")
+
+
 BUILTIN_SPECS = (
     "const_guess:0", "const_guess:2", "invalid_guess", "random_guess:1",
     "random_guess:2", "linear_search:1", "linear_search:3", "bsgs:2",

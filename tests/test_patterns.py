@@ -339,6 +339,16 @@ def test_depth_and_horizon_caps():
         run_pipeline("compressed", horizon=5)
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_escape_over_a_width_four_set_past_an_index_sized_count(mode):
+    """Its 2.0e19 members do not fit len(); the escape never counts them."""
+    block = FamilyPatternSet({4: ((0,), [(v,) for v in range(8)])})
+    assert block.measure() == Fraction(1, 2)
+    transcript = escape_family(block, depth=4, mode=mode)
+    assert len(transcript.steps) == 4
+    assert verify_escape(transcript.prefix, block)
+
+
 def test_bound_violations_match_member_sets():
     """A program that wins on every encoding floods its level in both paths."""
     family = registry_testfamily((GgmAdversary("flood", "dlog", lambda n: const_guess(0)),), 2)

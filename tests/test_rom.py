@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oraclediag.cylinder import binary_measure, bit_strings_up_to
-from oraclediag.numbering import cantor_pair, nat_to_string
+from oraclediag.numbering import cantor_pair, cantor_unpair, nat_to_string
 from oraclediag.rom import (
     ELL_ONE,
     ConstraintPattern,
@@ -16,7 +16,6 @@ from oraclediag.rom import (
     ExperimentOracle,
     InfeasibleSizeError,
     OracleTable,
-    RomTestFamily,
     all_oracle_tables,
     bad_tables_for,
     block_span,
@@ -24,14 +23,9 @@ from oraclediag.rom import (
     build_constraint_strings,
     build_rom_testfamily,
     domain_size,
-    embed_ell_function,
-    extract_block,
-    format_oracle_table,
     layout_position,
-    parse_oracle_table,
     pattern_set_measure,
     rom_testset_measure,
-    solovay_to_ml,
     table_count,
 )
 
@@ -62,6 +56,18 @@ class TestLayout:
         spans.sort()
         assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
+    def test_concatenated_blocks_sit_at_their_spans(self):
+        """Blocks joined in pairing order are read back at ``block_span``."""
+        rng = random.Random(5)
+        blocks = {}
+        for k in range(30):
+            n, j = cantor_unpair(k)
+            blocks[(n, j)] = "".join(rng.choice("01") for _ in range(ELL_N1(n)))
+        flat = "".join(blocks.values())
+        for (n, j), block in blocks.items():
+            start, end = block_span(n, j, ELL_N1)
+            assert flat[start:end] == block
+
     @pytest.mark.parametrize("coeffs", [(1,), (4,)])
     def test_prefix_sums_belong_to_the_polynomial(self, coeffs):
         width = coeffs[0]
@@ -78,38 +84,7 @@ class TestLayout:
 
     def test_positive_width_required(self):
         with pytest.raises(ValueError):
-            EllPoly((0,)).check_positive(3)
-        with pytest.raises(ValueError):
             layout_position(1, 1, EllPoly((0, 1)))  # width 0 at parameter 0
-
-
-class TestEmbedExtract:
-    def test_empty_depth(self):
-        assert embed_ell_function({}, 0) == ""
-
-    def test_unit_concatenation(self):
-        values = {(0, 0): "0", (1, 0): "1"}
-        assert embed_ell_function(values, 2) == "01"
-
-    def test_roundtrip(self):
-        rng = random.Random(5)
-        values = {}
-        for k in range(30):
-            from oraclediag.numbering import cantor_unpair
-
-            n, j = cantor_unpair(k)
-            values[(n, j)] = "".join(rng.choice("01") for _ in range(ELL_N1(n)))
-        flat = embed_ell_function(values, 30)
-        for (n, j), block in values.items():
-            assert extract_block(flat, n, j, ELL_N1) == block
-
-    def test_missing_block(self):
-        with pytest.raises(KeyError):
-            embed_ell_function({(0, 0): "0"}, 2)
-
-    def test_short_sequence(self):
-        with pytest.raises(ValueError):
-            extract_block("01", 3, 3, ELL_ONE)
 
 
 class TestOracleTable:
@@ -137,13 +112,9 @@ class TestOracleTable:
         with pytest.raises(ValueError):
             OracleTable(1, 1, ("0", "1", "10"))  # wrong width
 
-    def test_serialization_roundtrip(self):
-        table = OracleTable(1, 2, ("00", "01", "11"))
-        assert parse_oracle_table(format_oracle_table(table)) == table
-
     def test_enumeration_cap(self):
         with pytest.raises(InfeasibleSizeError):
-            list(all_oracle_tables(2, 3, cap=100))
+            list(all_oracle_tables(2, 3))
 
 
 def _random_bad_tables(rng, q, width, count):
@@ -183,7 +154,7 @@ class TestConstraintStrings:
                 expected = rom_testset_measure(n, 1, ELL_ONE, count)
                 assert binary_measure(strings) == expected
                 assert pattern_set_measure(patterns) == expected
-                assert strings == frozenset().union(*(p.expand() for p in patterns))
+                assert strings == frozenset().union(*map(pattern_strings, patterns))
 
     def test_materialization_guard(self):
         rng = random.Random(4)
@@ -198,6 +169,11 @@ class TestConstraintStrings:
         table = OracleTable(2, 1, tuple("0" * 7))
         with pytest.raises(ValueError):
             build_constraint_strings(1, 1, ELL_ONE, [table])
+
+
+def pattern_strings(pattern: ConstraintPattern) -> frozenset:
+    """The strings ``build_constraint_strings`` generates for one pattern."""
+    return frozenset(pattern._strings())
 
 
 def reference_expand(pattern: ConstraintPattern) -> frozenset:
@@ -224,7 +200,7 @@ def patterns(draw):
 @settings(max_examples=200)
 @given(patterns())
 def test_expand_matches_per_character_reference(pattern):
-    strings = pattern.expand()
+    strings = pattern_strings(pattern)
     assert strings == reference_expand(pattern)
     assert len(strings) == 2**pattern.free_bits
 
@@ -239,7 +215,7 @@ class TestPatternMeasure:
         b = ConstraintPattern(3, ((1, "1"),))
         # P(a or b) = 1/2 + 1/2 - 1/4
         assert pattern_set_measure([a, b]) == Fraction(3, 4)
-        union = a.expand() | b.expand()
+        union = pattern_strings(a) | pattern_strings(b)
         assert binary_measure(union) == Fraction(3, 4)
 
     def test_conflicting_patterns_add(self):
@@ -298,7 +274,7 @@ def test_pattern_measure_matches_pairwise_and_inclusion_exclusion(sets):
             pattern_set_measure(sets)
         return
     assert pattern_set_measure(sets) == expected
-    assert binary_measure(frozenset().union(*(p.expand() for p in sets))) == expected
+    assert binary_measure(frozenset().union(*map(pattern_strings, sets))) == expected
 
 
 def test_pattern_measure_caps_inclusion_exclusion():
@@ -331,7 +307,9 @@ class TestRomTestfamily:
             assert build_rom_testfamily(_const_oracle(0), 2, n) == frozenset()
 
     def test_one_oracle_marks_every_table(self):
-        assert bad_tables_for(_const_oracle(1), 2, 2) == tuple(all_oracle_tables(1, 1))
+        calls = []
+        assert bad_tables_for(_counting_oracle(calls), 2, 2) == tuple(all_oracle_tables(1, 1))
+        assert calls == [2]  # reads no entry: one run decides all eight tables
         strings = build_rom_testfamily(_const_oracle(1), 2, 2)
         assert binary_measure(strings) == 1 == rom_testset_measure(2, 1, ELL_ONE, 8)
 
@@ -358,7 +336,7 @@ class TestRomTestfamily:
             ell=EllPoly((4,)), evaluator=lambda n, t: Fraction(0), query_depth=lambda n: 2
         )
         with pytest.raises(InfeasibleSizeError):
-            build_rom_testfamily(oracle, 2, 2, max_tables=100)
+            build_rom_testfamily(oracle, 2, 2)
 
 
 def _brute_force_bad(oracle, d, n):
@@ -440,11 +418,9 @@ def _counting_oracle(calls):
 def test_parameter_below_one_rejected(n):
     calls = []
     oracle = _counting_oracle(calls)
-    family = RomTestFamily(oracle, d=2)
     for build in (
         lambda: bad_tables_for(oracle, 2, n),
         lambda: build_rom_testfamily(oracle, 2, n),
-        lambda: family.component(n),
     ):
         with pytest.raises(ValueError, match="need n >= 1"):
             build()
@@ -455,10 +431,10 @@ def test_table_cap_checked_before_any_run():
     calls = []
     oracle = ExperimentOracle(EllPoly((4,)), _counting_oracle(calls).evaluator, lambda n: 2)
     with pytest.raises(InfeasibleSizeError) as enumerated:
-        list(all_oracle_tables(2, 4, cap=100))
+        list(all_oracle_tables(2, 4))
     with pytest.raises(InfeasibleSizeError) as decided:
-        bad_tables_for(oracle, 2, 2, max_tables=100)
-    assert str(decided.value) == str(enumerated.value) == "268435456 tables at (q=2, width=4); cap 100"
+        bad_tables_for(oracle, 2, 2)
+    assert str(decided.value) == str(enumerated.value) == "268435456 tables at (q=2, width=4); cap 65536"
     assert calls == []
 
 
@@ -470,59 +446,3 @@ def _flatten(rng, n, table, length):
         for offset, bit in enumerate(value):
             bits[start + offset] = bit
     return "".join(bits)
-
-
-def test_rom_testfamily_object_caches_components():
-    calls = []
-
-    def evaluator(n, table):
-        calls.append(n)
-        return Fraction(1)
-
-    family = __import__("oraclediag.rom", fromlist=["RomTestFamily"]).RomTestFamily(
-        ExperimentOracle(ELL_ONE, evaluator, lambda n: 1), d=2
-    )
-    first = family.component(2)
-    assert family.component(2) == first
-    assert calls.count(2) == 1  # reads no entry: one run decides all eight tables
-    assert family.tail_union(2, 3) == solovay_to_ml(family.component, 2, 3)
-
-
-def test_table_set_serialization_roundtrip():
-    from oraclediag.rom import format_table_set, parse_table_set
-
-    tables = tuple(all_oracle_tables(1, 1))[:3]
-    assert parse_table_set(format_table_set(tables)) == tables
-
-
-class TestSolovayToMl:
-    def test_empty_everywhere(self):
-        assert solovay_to_ml(lambda k: frozenset(), 1, 5) == frozenset()
-
-    def test_single_component(self):
-        component = lambda k: frozenset({"01"}) if k == 2 else frozenset()
-        assert solovay_to_ml(component, 2, 2) == frozenset({"01"})
-
-    def test_truncation_subadditive_and_monotone(self):
-        rng = random.Random(12)
-        pools = {
-            k: frozenset(
-                "".join(rng.choice("01") for _ in range(rng.randint(1, 5)))
-                for _ in range(3)
-            )
-            for k in range(1, 7)
-        }
-        component = lambda k: pools.get(k, frozenset())
-        previous = Fraction(0)
-        for k_max in range(2, 7):
-            truncated = solovay_to_ml(component, 2, k_max)
-            total = binary_measure(truncated)
-            assert total <= sum(
-                (binary_measure(pools[k]) for k in range(2, k_max + 1)), Fraction(0)
-            )
-            assert total >= previous
-            previous = total
-
-    def test_bad_horizon(self):
-        with pytest.raises(ValueError):
-            solovay_to_ml(lambda k: frozenset(), 3, 2)

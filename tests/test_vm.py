@@ -23,8 +23,6 @@ from oraclediag.vm import (
     InvalidEncoding,
     ProgramError,
     coin_tapes,
-    format_program,
-    parse_program,
     run_generic,
     run_generic_reference,
     run_symbolic,
@@ -204,31 +202,3 @@ def test_declared_query_bounds():
                 seen = max(seen, run_generic(prog, 5, SIGMA, (1, x), coins).queries)
         assert seen == declared
 
-
-class TestAssemblyFormat:
-    @pytest.mark.parametrize(
-        "prog",
-        [const_guess(3), linear_search(2), random_guess(2), bsgs(2, 3), invalid_guess()],
-        ids=lambda p: p.name,
-    )
-    def test_roundtrip(self, prog):
-        again = parse_program(format_program(prog))
-        assert again == prog
-
-    def test_parse_minimal(self):
-        prog = parse_program("inputs 2\nout_int 0\n")
-        assert run_generic(prog, 3, E2[0], (1, 2)).output == 0
-
-    def test_parse_out_int_variants(self):
-        prog = parse_program("inputs 1\nout_int N\n")
-        assert prog.instructions == ((OP_OUT_INT, None, False),)
-        prog = parse_program("inputs 1\nout_int 7 mod\n")
-        assert prog.instructions == ((OP_OUT_INT, 7, True),)
-
-    def test_parse_errors(self):
-        with pytest.raises(ProgramError):
-            parse_program("inputs 1\nfrobnicate 1\n")
-        with pytest.raises(ProgramError):
-            parse_program("out_int 0\n")  # missing inputs directive
-        with pytest.raises(ProgramError):
-            parse_program("inputs 1\nadd x y\n")
