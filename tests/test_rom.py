@@ -307,9 +307,7 @@ class TestRomTestfamily:
             assert build_rom_testfamily(_const_oracle(0), 2, n) == frozenset()
 
     def test_one_oracle_marks_every_table(self):
-        calls = []
-        assert bad_tables_for(_counting_oracle(calls), 2, 2) == tuple(all_oracle_tables(1, 1))
-        assert calls == [2]  # reads no entry: one run decides all eight tables
+        assert bad_tables_for(_const_oracle(1), 2, 2) == tuple(all_oracle_tables(1, 1))
         strings = build_rom_testfamily(_const_oracle(1), 2, 2)
         assert binary_measure(strings) == 1 == rom_testset_measure(2, 1, ELL_ONE, 8)
 
@@ -412,6 +410,16 @@ def _counting_oracle(calls):
         return Fraction(1)
 
     return ExperimentOracle(ELL_ONE, evaluator, lambda n: 1)
+
+
+def test_rom_testfamily_object_caches_components():
+    calls = []
+    oracle = _counting_oracle(calls)
+    assert bad_tables_for(oracle, 2, 2) == tuple(all_oracle_tables(1, 1))
+    assert calls == [2]  # reads no entry: one run decides all eight tables
+    strings = build_rom_testfamily(oracle, 2, 2)
+    assert calls == [2, 2]  # the family build also runs it once
+    assert binary_measure(strings) == 1
 
 
 @pytest.mark.parametrize("n", [0, -1])
