@@ -92,7 +92,7 @@ def cmd_diagonalize(args) -> int:
         if not args.set_file:
             raise ValueError("diagonalize needs a set file or --toy-pipeline")
         members = _parse_set(args)
-        # normalized once here; the escape reuses it
+        # sorted once here; the escape answers from that order
         wrapped = diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
         escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
         transcript = escape(wrapped, depth=args.depth, mode=args.mode)

@@ -16,13 +16,15 @@ string is the empty prefix).  Family prefixes are tuples of
 :class:`EncodingFunction` with widths 1, 2, ..., len in order.  All
 measures are :class:`fractions.Fraction`; nothing here rounds.
 
-Measures run on one integer kernel.  Normalization tests each member
-only at the member lengths that occur in the set, so its cost follows
-the number of distinct lengths, not the longest member; a set of one
-length is already prefix-free.  A prefix-free set is then measured as
-integer counts per length over one denominator, the cell count ``den``
-of its longest member (``2**len`` for bit strings, ``prod((2**k)!)`` for
-family prefixes): one ``Fraction`` per set, not one per member.
+Measures run on one integer kernel over one sorted order, in which the
+members extending a prefix ``t`` form one range (``[t, t + "2")`` for
+bit strings; family prefixes sort by their tables).  Normalization is
+one sorted sweep; a set of one length is already prefix-free.  Masses
+are integers over one denominator, the cell count ``den`` of the longest
+member (``2**len`` for bit strings, ``prod((2**k)!)`` for family
+prefixes).  :class:`SortedPrefixFree` keeps the running sums of its
+masses, so the mass in a cell is a difference of two sums at a range
+found by bisection.
 
 Generic-group constraint sets have a compact form,
 :class:`FamilyPatternSet`: per level ``n``, a few table keys ``Z`` and
@@ -38,13 +40,14 @@ pure function, so concurrent callers can share inputs freely.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Set
+from collections.abc import Collection, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm, prod
-from operator import itemgetter
+from math import factorial, inf, perm, prod
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Bits = str
@@ -72,17 +75,19 @@ def all_bit_strings(length: int) -> list[Bits]:
     return [format(i, f"0{length}b") if length else "" for i in range(2**length)]
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, str]]:
-    """(line number, line) for every line left non-empty once its ``#``
-    comment is cut and it is stripped; numbers count from 1.
-
-    Built from C iterators: a generator function would cost a
-    20000-line set file about a fifth more parse time, a list its
-    memory."""
+def _stripped_lines(text: str) -> Iterator[str]:
+    """Every line with its ``#`` comment cut, stripped."""
     lines = text.splitlines()
     if "#" in text:
         lines = [raw.split("#", 1)[0] for raw in lines]
-    return filter(itemgetter(1), enumerate(map(str.strip, lines), 1))
+    return map(str.strip, lines)
+
+
+def _content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every non-empty line of ``_stripped_lines``,
+    numbered from 1; built from C iterators, which a generator function
+    would make a fifth slower on a 20000-line set file."""
+    return filter(itemgetter(1), enumerate(_stripped_lines(text), 1))
 
 
 def bit_strings_up_to(q: int) -> list[Bits]:
@@ -152,31 +157,41 @@ def all_encodings(n: int) -> tuple[EncodingFunction, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _normalize(members: Iterable) -> frozenset:
+_TABLE = attrgetter("table")
+
+
+def _family_key(prefix: FamilyPrefix) -> tuple[tuple[int, ...], ...]:
+    """Sort key of a family prefix: its tables, so comparisons stay in C."""
+    return tuple(map(_TABLE, prefix))
+
+
+def _normalize(members: Iterable) -> Collection:
     """Drop every member that has a proper prefix in the set.
 
-    Only the member lengths that occur can hold such a prefix, so each
-    member is tested at the shorter occurring lengths alone.  Returns the
-    input frozenset itself when nothing is dropped.
+    A set of one length has none and comes back as the input frozenset.
+    Any other set is swept once in sorted order, where the extensions of
+    a member follow it: a member is kept unless the last kept member is
+    a prefix of it.  Its kept members come back as a list in that order.
+    A set mixing the kinds is refused before it is sorted.
     """
     pool = members if isinstance(members, frozenset) else frozenset(members)
-    lengths = sorted(set(map(len, pool)))
-    if len(lengths) < 2:
+    if len(set(map(len, pool))) < 2:
         return pool
-    shorter = {length: lengths[:i] for i, length in enumerate(lengths)}
-    kept = []
-    for s in pool:
-        for i in shorter[len(s)]:
-            if s[:i] in pool:
-                break
-        else:
-            kept.append(s)
-    return pool if len(kept) == len(pool) else frozenset(kept)
+    if kind_of(pool) == "binary":
+        last = "2"  # a prefix of no bit string
+        return [last := s for s in sorted(pool) if not s.startswith(last)]
+    last = None
+    order = sorted(pool, key=_family_key)
+    return [last := p for p in order if last is None or p[: len(last)] != last]
 
 
 def normalize_prefix_free(members: Iterable) -> frozenset:
-    """Prefix-free representative of a cylinder set of either kind (same open set)."""
-    return _normalize(members)
+    """Prefix-free representative of a cylinder set of either kind (same
+    open set): the input frozenset itself when nothing is dropped."""
+    pool = members if isinstance(members, frozenset) else frozenset(members)
+    kind_of(pool)  # refuses a mixed set of one length, which is not sorted
+    kept = _normalize(pool)
+    return pool if len(kept) == len(pool) else frozenset(kept)
 
 
 def kind_of(members: Iterable, expected: str | None = None) -> str | None:
@@ -244,23 +259,76 @@ def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
     return Fraction(sum(count * weight[length] for length, count in counts.items()), den)
 
 
+def _measure(members: Iterable, kind: str | None = None) -> Fraction:
+    """Measure of a set of one kind.  A set of one length comes back from
+    ``_normalize`` as it was, and each member weighs one cell of it."""
+    norm = _normalize(members)
+    if not isinstance(norm, frozenset):
+        return prefix_free_measure(norm, kind)
+    kind = kind_of(norm, kind)
+    return Fraction(len(norm), cell_den(kind, len(next(iter(norm))))) if norm else ZERO
+
+
 def binary_measure(strings: Iterable[Bits]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of bit strings."""
-    return prefix_free_measure(_normalize(strings), "binary")
+    return _measure(strings, "binary")
 
 
 def family_measure(prefixes: Iterable[FamilyPrefix]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of family prefixes."""
     if isinstance(prefixes, FamilyPatternSet):
         return prefixes.measure()
-    return prefix_free_measure(_normalize(prefixes), "family")
+    return _measure(prefixes, "family")
 
 
 def measure(members: Iterable) -> Fraction:
     """Measure of a cylinder set of either kind; a mixed set is refused."""
     if isinstance(members, FamilyPatternSet):
         return members.measure()
-    return prefix_free_measure(_normalize(members))
+    return _measure(members)
+
+
+class SortedPrefixFree:
+    """The prefix-free representative of a finite set, in sorted order.
+
+    ``keys`` holds the kept members' sort keys (a bit string itself, the
+    tables of a family prefix) in ascending order, and ``cum[i]`` the
+    integer mass of the first i of them over ``den``, the cell count of
+    the longest.  The members extending a prefix ``t`` form one range of
+    the order, so their mass is a difference of two running sums.
+    """
+
+    __slots__ = ("kind", "keys", "cum", "den")
+
+    def __init__(self, members: Iterable, kind: str | None = None):
+        pool = members if isinstance(members, frozenset) else frozenset(members)
+        self.kind = kind_of(pool, kind)
+        norm = _normalize(pool)
+        # one pass when _normalize swept the members in this order already
+        self.keys = keys = sorted(norm if self.kind == "binary" else map(_family_key, norm))
+        self.den, weight = length_weights(map(len, keys), self.kind)
+        self.cum = list(itertools.accumulate(map(weight.__getitem__, map(len, keys)), initial=0))
+
+    def measure(self) -> Fraction:
+        return Fraction(self.cum[-1], self.den)
+
+    def cell_mass(self, t) -> Fraction:
+        """Mass of the set inside the cell of ``t``.
+
+        A member that is a prefix of ``t`` fills the cell; it would be the
+        last member not after ``t``, as every member between the two
+        would extend it.  Otherwise the members in ``t``'s range count.
+        """
+        if self.kind == "binary":
+            low, high = t, t + "2"  # "2" sorts after both bits
+        else:
+            low = _family_key(t)
+            high = low + ((inf,),)  # sorts after every table
+        keys = self.keys
+        lo = bisect_right(keys, low)
+        if lo and low[: len(keys[lo - 1])] == keys[lo - 1]:
+            return Fraction(1, cell_den(self.kind, len(t)))
+        return Fraction(self.cum[bisect_left(keys, high, lo)] - self.cum[lo], self.den)
 
 
 def cell_mass(members: frozenset, t) -> Fraction:
@@ -523,8 +591,11 @@ def _refine(n: int, keys: tuple, bad: frozenset, joint: tuple) -> frozenset:
 # Line-oriented serialization
 # ---------------------------------------------------------------------------
 
-# The token for the empty string / empty prefix in set files.
+# The token for the empty string / empty prefix in set files; both are read.
 _EMPTY_TOKEN = "-"
+_EMPTY_TOKENS = frozenset({_EMPTY_TOKEN, "λ"})
+# deletes every character a joined block of bit-string lines may hold
+_NOT_BITS = str.maketrans("", "", "01\n")
 
 
 def format_binary_set(strings: Iterable[Bits]) -> str:
@@ -533,15 +604,16 @@ def format_binary_set(strings: Iterable[Bits]) -> str:
 
 
 def parse_binary_set(text: str) -> frozenset[Bits]:
-    out = set()
-    for lineno, line in _content_lines(text):
-        if line in (_EMPTY_TOKEN, "λ"):
-            out.add("")
-            continue
-        if line.strip("01"):
-            raise SetFormatError(f"line {lineno}: not a bit string: {line!r}")
-        out.add(line)
-    return frozenset(out)
+    """Members of a binary set file, checked in bulk; only a bad file is
+    walked line by line, to name its first bad line."""
+    lines = set(_stripped_lines(text))
+    empty = not lines.isdisjoint(_EMPTY_TOKENS)
+    lines -= {"", *_EMPTY_TOKENS}
+    if "\n".join(lines).translate(_NOT_BITS):
+        for lineno, line in _content_lines(text):
+            if line not in _EMPTY_TOKENS and line.strip("01"):
+                raise SetFormatError(f"line {lineno}: not a bit string: {line!r}")
+    return frozenset(lines | {""} if empty else lines)
 
 
 def format_encoding(enc: EncodingFunction) -> str:
@@ -573,7 +645,7 @@ def format_family_set(prefixes: Iterable[FamilyPrefix]) -> str:
 def parse_family_set(text: str) -> frozenset[FamilyPrefix]:
     out = set()
     for lineno, line in _content_lines(text):
-        if line in (_EMPTY_TOKEN, "λ"):
+        if line in _EMPTY_TOKENS:
             out.add(EMPTY_PREFIX)
             continue
         tokens = line.split()

@@ -11,11 +11,15 @@ unknown remainder, and the derived cell approximator f with
 lexicographically least candidate that certifies strictly below the cell
 volume.
 
-A transcript records, per step, the number of candidates, the chosen
-index, the certified conditional measure, and the cell volume; the step
-invariant "trapped mass < cell volume" is what makes the prefix
-extendable forever, and `verify_escape` re-checks the finite claim
-against the raw member set.
+A stage of members is sorted once (``SortedPrefixFree``), and both
+modes read a candidate cell's mass from it by bisection: the members in
+the cell are one range of the order, their mass a difference of two
+running sums.  A transcript records, per step, the number of
+candidates, the chosen index, the certified conditional measure, and the
+cell volume; the step invariant "trapped mass < cell volume" is what
+makes the prefix extendable forever, and `verify_escape` re-checks the
+finite claim against the raw member set by looking up the prefixes of
+the escape in it.
 
 Generic-group constraint sets are compact (``FamilyPatternSet``): a
 block at level n is "first n - 1 encodings free, the n-th hits a bad
@@ -26,8 +30,8 @@ assignments (a pruned lex walk) and reports it by its Lehmer rank.
 Approx mode scores a candidate by whether a stage fills its cell; a
 rejected candidate rejects every candidate its first filling stage
 fills, so only the least candidate that stage leaves open is certified
-next.  The transcripts equal those of the member-by-member path, which
-any stage holding a plain frozenset block still takes.  Family
+next.  The transcripts equal those of the sorted path, which any stage
+holding a plain frozenset block still takes.  Family
 escapes reach depth 3 over member sets and depth 4 over compact ones.
 """
 
@@ -43,7 +47,7 @@ from .cylinder import (
     FamilyPatternSet,
     FamilyPrefix,
     KindMismatchError,
-    _normalize,
+    SortedPrefixFree,
     all_encodings,
     cell_den,
     cell_mass,
@@ -53,9 +57,7 @@ from .cylinder import (
     format_family_set,
     kind_of,
     least_encoding,
-    length_weights,
     measure,
-    prefix_free_measure,
 )
 from .numbering import phi_escape
 from .schedules import Schedule
@@ -92,8 +94,7 @@ class EnumeratedOpenSet:
     stage_cap: int = 64
     # precision k -> _stage_for result; lives and dies with this set
     _stage_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # stage index m -> _stage_view result, for a stage made prefix-free
-    # and measured when the set was built (from_finite)
+    # stage index m -> _stage_view result, sorted when the set was built
     _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -102,23 +103,23 @@ class EnumeratedOpenSet:
 
     @classmethod
     def from_finite(cls, members: Iterable, kind: str | None = None) -> "EnumeratedOpenSet":
-        """One-stage set of the members made prefix-free; its approximator is exact.
+        """One-stage set of the members, sorted once; its approximator is exact.
 
         A compact family set is its own stage, measured in closed form.
         """
         if isinstance(members, FamilyPatternSet):
             if kind not in (None, "family"):
                 raise KindMismatchError(f"expected a {kind} set, got a family set")
-            norm, kind, exact = members, "family", members.measure()
+            view, kind = members, "family"
         else:
             members = frozenset(members)
-            norm = _normalize(members)
-            kind = kind_of(norm, kind)
-            if kind is None:
+            if kind is None and not members:
                 raise ValueError("cannot infer the kind of an empty set")
-            exact = prefix_free_measure(norm, kind)
-        S = cls(kind=kind, stages=lambda m: norm, measure_approx=lambda k: exact, stage_cap=1)
-        S._stages[1] = (norm, norm, exact)
+            view = SortedPrefixFree(members, kind)
+            kind = view.kind
+        exact = view.measure()
+        S = cls(kind=kind, stages=lambda m: members, measure_approx=lambda k: exact, stage_cap=1)
+        S._stages[1] = view
         return S
 
 
@@ -129,32 +130,24 @@ def conditional_measure_exact(members: Iterable, t) -> Fraction:
     return cell_mass(members, t)
 
 
-def _stage_view(S: EnumeratedOpenSet, m: int) -> tuple[frozenset, frozenset, Fraction]:
-    """Stage m as given, made prefix-free, and its measure.
-
-    A finite set's stage was made prefix-free and measured when the set
-    was built; any other stage is normalized here.  A compact stage is
-    never normalized: it stands for itself and is measured in closed form.
-    """
+def _stage_view(S: EnumeratedOpenSet, m: int) -> SortedPrefixFree | FamilyPatternSet:
+    """Stage m sorted (a finite set's when it was built), or the compact
+    stage itself, whose measure and cell masses are in closed form."""
     found = S._stages.get(m)
     if found is None:
         stage = S.stages(m)
-        if isinstance(stage, FamilyPatternSet):
-            found = (stage, stage, stage.measure())
-        else:
-            norm = _normalize(stage)
-            found = (stage, norm, prefix_free_measure(norm, S.kind))
+        found = stage if isinstance(stage, FamilyPatternSet) else SortedPrefixFree(stage, S.kind)
     return found
 
 
-def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, Fraction]:
+def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, object, Fraction, Fraction]:
     """Stage search: the first stage heavy enough for precision k.
 
     Uses the exact partition identity "sum of per-cell masses at any
     depth equals the total mass", so the per-cell sum never has to be
-    enumerated cell by cell.  Returns (stage index, stage, its measure,
-    the approximator's value), memoized on ``S`` so that nothing outlives
-    the open set it was computed for.
+    enumerated cell by cell.  Returns (stage index, the stage's
+    ``_stage_view``, its measure, the approximator's value), memoized on
+    ``S`` so that nothing outlives the open set it was computed for.
     """
     found = S._stage_memo.get(k)
     if found is not None:
@@ -162,11 +155,10 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, 
     g = S.measure_approx(k)
     threshold = g - Fraction(1, 2**k)
     for m in range(1, S.stage_cap + 1):
-        stage, _, stage_measure = _stage_view(S, m)
+        view = _stage_view(S, m)
+        stage_measure = view.measure()
         if stage_measure > threshold:
-            # the memo keeps the stage as given: cell_mass needs no
-            # prefix-free copy, which would live as long as the set
-            found = S._stage_memo[k] = (m, stage, stage_measure, g)
+            found = S._stage_memo[k] = (m, view, stage_measure, g)
             return found
     raise StageCapExceeded(
         f"no stage within {S.stage_cap} reached measure above {threshold};"
@@ -176,8 +168,8 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, frozenset, Fraction, 
 
 def conditional_measure_approx(S: EnumeratedOpenSet, t, k: int) -> Fraction:
     """Rational within 2**-k of the mass of the set inside the cell of t."""
-    _, stage, stage_measure, g = _stage_for(S, k)
-    return g - (stage_measure - cell_mass(stage, t))
+    _, view, stage_measure, g = _stage_for(S, k)
+    return g - (stage_measure - view.cell_mass(t))
 
 
 # ---------------------------------------------------------------------------
@@ -234,36 +226,28 @@ def _extend(prefix, tau):
 
 
 def _exact_escape(S: EnumeratedOpenSet, depth: int, candidates_at) -> EscapeTranscript:
-    _, total, total_measure = _stage_view(S, S.stage_cap)
+    total = _stage_view(S, S.stage_cap)
+    total_measure = total.measure()
     if total_measure >= 1:
         raise MeasureTooLargeError(f"open set has measure {total_measure} >= 1")
     if isinstance(total, FamilyPatternSet):
         return _exact_escape_patterns(total, depth)
-    # integer masses over the common denominator den: a member of length L
-    # weighs den // den(L), a cell at depth level + 1 holds den // den(level + 1)
-    den, weight = length_weights(map(len, total), S.kind)
     prefix = "" if S.kind == "binary" else ()
-    restricted = total
     steps: list[EscapeStep] = []
     for level in range(depth):
-        buckets: dict[object, int] = {}
-        for s in restricted:
-            key = s[level]
-            buckets[key] = buckets.get(key, 0) + weight[len(s)]
-        level_den = cell_den(S.kind, level + 1)
+        cell = Fraction(1, cell_den(S.kind, level + 1))
         candidates = candidates_at(level)
         for idx, tau in enumerate(candidates):
-            if buckets.get(tau, 0) * level_den < den:  # trapped < cell
+            t = _extend(prefix, tau)
+            trapped = total.cell_mass(t)  # two bisections of the sorted stage
+            if trapped < cell:
                 break
         else:
             raise EscapeContractViolation(
                 f"no candidate at depth {level + 1} satisfies the strict inequality"
             )
-        prefix = _extend(prefix, tau)
-        # a kept member cannot end at this level: it would fill the cell
-        restricted = [s for s in restricted if s[level] == tau]
-        trapped = Fraction(buckets.get(tau, 0), den)
-        steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, Fraction(1, level_den)))
+        prefix = t
+        steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, cell))
     return EscapeTranscript(S.kind, "exact", prefix, tuple(steps))
 
 
@@ -435,7 +419,7 @@ PATTERN_DEPTH_CAP = 4
 def _compact(S) -> bool:
     """True iff S is a compact set or an open set whose last stage is one."""
     if isinstance(S, EnumeratedOpenSet):
-        return S.kind == "family" and isinstance(_stage_view(S, S.stage_cap)[0], FamilyPatternSet)
+        return S.kind == "family" and isinstance(_stage_view(S, S.stage_cap), FamilyPatternSet)
     return isinstance(S, FamilyPatternSet)
 
 
@@ -463,7 +447,8 @@ def escape_family(
 
 
 def verify_escape(prefix, members: Iterable) -> bool:
-    """Independent check that no member of the set traps the prefix.
+    """Independent check that no member of the set traps the prefix: none
+    of the prefix's own ``len(prefix) + 1`` prefixes is a member.
 
     For a compact set: no level within the prefix hits it.
     """
@@ -473,7 +458,7 @@ def verify_escape(prefix, members: Iterable) -> bool:
         return not members.covers(prefix)
     members = frozenset(members)
     kind_of(members, "binary" if isinstance(prefix, str) else "family")  # refuses mixed kinds
-    return not any(prefix[: len(s)] == s for s in members)
+    return not any(prefix[:i] in members for i in range(len(prefix) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .cylinder import Bits, all_bit_strings
@@ -262,18 +263,12 @@ def pattern_set_measure(patterns: Sequence[ConstraintPattern]) -> Fraction:
     return total
 
 
-def _table_pattern(n: int, ell: EllPoly, table: OracleTable) -> ConstraintPattern:
-    if table.width != ell(n):
-        raise ValueError(
-            f"table width {table.width} disagrees with block length {ell(n)}"
-        )
-    pins: list[tuple[int, str]] = []
-    last = 0
-    for j, value in enumerate(table.values):
-        start, end = block_span(n, j, ell)
-        pins.extend((start + offset, bit) for offset, bit in enumerate(value))
-        last = end
-    return ConstraintPattern(last, tuple(sorted(pins)))
+@lru_cache(maxsize=64)
+def _pinned_positions(n: int, q: int, ell: EllPoly) -> tuple[int, tuple[int, ...]]:
+    """End of a depth-q table's last block at n, and its blocks' bit
+    positions; ascending, as a block's pair index grows with j."""
+    spans = [block_span(n, j, ell) for j in range(domain_size(q))]
+    return spans[-1][1], tuple(itertools.chain.from_iterable(itertools.starmap(range, spans)))
 
 
 def build_constraint_patterns(
@@ -284,7 +279,12 @@ def build_constraint_patterns(
     for table in bad_tables:
         if table.q != q:
             raise ValueError(f"table depth {table.q} disagrees with q={q}")
-        patterns.append(_table_pattern(n, ell, table))
+        if table.width != ell(n):
+            raise ValueError(
+                f"table width {table.width} disagrees with block length {ell(n)}"
+            )
+        length, positions = _pinned_positions(n, q, ell)
+        patterns.append(ConstraintPattern(length, tuple(zip(positions, "".join(table.values)))))
     return tuple(patterns)
 
 

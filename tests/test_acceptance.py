@@ -15,7 +15,6 @@ import pytest
 from oraclediag.cylinder import (
     all_encodings,
     binary_measure,
-    family_measure,
     measure,
     monotonicity_check,
     normalize_prefix_free,
@@ -23,7 +22,6 @@ from oraclediag.cylinder import (
     subadditivity_check,
 )
 from oraclediag.diagonal import (
-    EnumeratedOpenSet,
     assemble_open_set,
     conditional_measure_approx,
     conditional_measure_exact,

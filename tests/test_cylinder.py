@@ -301,17 +301,44 @@ def _load_schedule_text(text):
     return load_schedule_table(path)
 
 
+# lines 4-19998 of a 20000-line file; its line 19999 is bad, line 20000 good
+MANY_BITS = "\n".join(format(i, "015b") for i in range(19995))
+# the empty-string tokens, comments and blank lines among members
+TOKENS = "-\n  λ  \n\n# comment\n01 # trailing\n\n1\n-"
+
+
 @pytest.mark.parametrize(
     "parse,good,bad,message",
     [
         (parse_binary_set, "01", "0x1", "line 5: not a bit string: '0x1'"),
+        (parse_binary_set, MANY_BITS, "0x1\n0101", "line 19999: not a bit string: '0x1'"),
+        (parse_binary_set, TOKENS, "λ0", "line 12: not a bit string: 'λ0'"),
         (parse_family_set, "1,0", "1,1", "line 5: table is not a permutation of range(2)"),
         (_load_schedule_text, "1 4 2", "1 4", ":5: expected 'k d N', got '1 4'"),
     ],
-    ids=["binary", "family", "schedule"],
+    ids=["binary", "binary-20000-lines", "binary-tokens", "family", "schedule"],
 )
 def test_parse_errors_count_comment_and_blank_lines(parse, good, bad, message):
     text = f"# header\n\n   # indented comment\n{good}  # trailing\n{bad} # trailing\n"
     with pytest.raises(ValueError) as info:
         parse(text)
     assert str(info.value).endswith(message)
+
+
+def per_line_parse(text: str) -> frozenset:
+    """Binary set file parsed one line at a time."""
+    out = set()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line in ("-", "λ"):
+            out.add("")
+        elif line:
+            assert not line.strip("01"), line
+            out.add(line)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("good", [TOKENS, MANY_BITS, "", "-", "0\n\n"], ids=["tokens", "many", "empty", "dash", "blank"])
+def test_parse_binary_set_matches_a_per_line_parse(good):
+    text = f"# header\n\n   # indented comment\n{good}  # trailing\n"
+    assert parse_binary_set(text) == per_line_parse(text)

@@ -16,7 +16,6 @@ from oraclediag.cylinder import (
 )
 from oraclediag.diagonal import (
     EnumeratedOpenSet,
-    EscapeContractViolation,
     EscapeStep,
     EscapeTranscript,
     KindMismatchError,
@@ -31,7 +30,6 @@ from oraclediag.diagonal import (
     escape_family,
     verify_escape,
 )
-from oraclediag.numbering import phi_escape
 from oraclediag.programs import const_guess, invalid_guess, linear_search
 from oraclediag.schedules import Schedule
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclediag.cylinder import binary_measure, bit_strings_up_to
+from oraclediag.cylinder import binary_measure
+from oraclediag.fdh import ADVERSARIES, default_toy_scheme, fdh_experiment_oracle
 from oraclediag.numbering import cantor_pair, cantor_unpair, nat_to_string
 from oraclediag.rom import (
     ELL_ONE,
@@ -169,6 +170,33 @@ class TestConstraintStrings:
         table = OracleTable(2, 1, tuple("0" * 7))
         with pytest.raises(ValueError):
             build_constraint_strings(1, 1, ELL_ONE, [table])
+
+
+def reference_table_pattern(n: int, ell: EllPoly, table: OracleTable) -> ConstraintPattern:
+    """One ``block_span`` per entry, pins sorted afterwards."""
+    pins = []
+    last = 0
+    for j, value in enumerate(table.values):
+        start, end = block_span(n, j, ell)
+        pins.extend((start + offset, bit) for offset, bit in enumerate(value))
+        last = end
+    return ConstraintPattern(last, tuple(sorted(pins)))
+
+
+@pytest.mark.parametrize("adversary", sorted(ADVERSARIES))
+@pytest.mark.parametrize("q", [1, 2])
+def test_patterns_match_per_entry_spans(adversary, q):
+    oracle = fdh_experiment_oracle(default_toy_scheme(q), adversary)
+    for n in (2, 3):
+        bad = bad_tables_for(oracle, 2, n)
+        got = build_constraint_patterns(n, q, oracle.ell, bad)
+        assert got == tuple(reference_table_pattern(n, oracle.ell, t) for t in bad)
+
+
+def test_patterns_match_per_entry_spans_on_wide_blocks():
+    tables = list(all_oracle_tables(1, 3))
+    got = build_constraint_patterns(2, 1, ELL_N1, tables)
+    assert got == tuple(reference_table_pattern(2, ELL_N1, t) for t in tables)
 
 
 def pattern_strings(pattern: ConstraintPattern) -> frozenset:
