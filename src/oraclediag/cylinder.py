@@ -64,6 +64,14 @@ class SetFormatError(ValueError):
     """A cylinder-set text file could not be parsed."""
 
 
+class ExhaustiveCapExceeded(ValueError):
+    """Encodings were asked for past ``EXHAUSTIVE_WIDTH_CAP``."""
+
+
+# (2**3)! = 40320 encodings; width 4 would have 16! = 2.1e13
+EXHAUSTIVE_WIDTH_CAP = 3
+
+
 def validate_bits(s: Bits) -> Bits:
     if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
@@ -144,9 +152,15 @@ def encf_count(n: int) -> int:
 def all_encodings(n: int) -> tuple[EncodingFunction, ...]:
     """All encoding functions of width n in lexicographic table order.
 
-    Materialized once per width; width 3 already has 40320 members, so
-    callers should not ask for n > 3 unless they mean it.
+    Materialized once per width.  This is the only code that enumerates
+    encodings, so it alone guards their factorial count: a width past
+    ``EXHAUSTIVE_WIDTH_CAP`` is refused before any permutation is built.
     """
+    if n > EXHAUSTIVE_WIDTH_CAP:
+        raise ExhaustiveCapExceeded(
+            f"width {n} has (2**{n})! encodings; enumeration is capped at width"
+            f" {EXHAUSTIVE_WIDTH_CAP}"
+        )
     return tuple(
         EncodingFunction(n, perm) for perm in itertools.permutations(range(2**n))
     )
@@ -165,19 +179,21 @@ def _family_key(prefix: FamilyPrefix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(_TABLE, prefix))
 
 
-def _normalize(members: Iterable) -> Collection:
+def _normalize(members: Iterable, kind: str | None = None) -> Collection:
     """Drop every member that has a proper prefix in the set.
 
     A set of one length has none and comes back as the input frozenset.
     Any other set is swept once in sorted order, where the extensions of
     a member follow it: a member is kept unless the last kept member is
     a prefix of it.  Its kept members come back as a list in that order.
-    A set mixing the kinds is refused before it is sorted.
+    ``kind`` is the set's kind as a caller's ``kind_of`` found it; without
+    it the kind is looked up, so a set mixing the kinds is refused before
+    it is sorted.
     """
     pool = members if isinstance(members, frozenset) else frozenset(members)
     if len(set(map(len, pool))) < 2:
         return pool
-    if kind_of(pool) == "binary":
+    if (kind or kind_of(pool)) == "binary":
         last = "2"  # a prefix of no bit string
         return [last := s for s in sorted(pool) if not s.startswith(last)]
     last = None
@@ -189,8 +205,7 @@ def normalize_prefix_free(members: Iterable) -> frozenset:
     """Prefix-free representative of a cylinder set of either kind (same
     open set): the input frozenset itself when nothing is dropped."""
     pool = members if isinstance(members, frozenset) else frozenset(members)
-    kind_of(pool)  # refuses a mixed set of one length, which is not sorted
-    kept = _normalize(pool)
+    kept = _normalize(pool, kind_of(pool))  # refuses a mixed set of any lengths
     return pool if len(kept) == len(pool) else frozenset(kept)
 
 
@@ -250,8 +265,10 @@ def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
     """Measure of a set its caller already made prefix-free.
 
     Counts members per length and adds the counts over one denominator.
+    A given ``kind`` is taken as found (``normalize_prefix_free`` and the
+    parsers check it); None looks at every member and refuses a mixed set.
     """
-    kind = kind_of(norm, kind)
+    kind = kind or kind_of(norm)
     counts = Counter(map(len, norm))
     if not counts:
         return ZERO
@@ -260,12 +277,14 @@ def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
 
 
 def _measure(members: Iterable, kind: str | None = None) -> Fraction:
-    """Measure of a set of one kind.  A set of one length comes back from
-    ``_normalize`` as it was, and each member weighs one cell of it."""
-    norm = _normalize(members)
+    """Measure of a set of one kind (``kind``, when given).  A set of one
+    length comes back from ``_normalize`` as it was, and each member
+    weighs one cell of it."""
+    pool = members if isinstance(members, frozenset) else frozenset(members)
+    kind = kind_of(pool, kind)
+    norm = _normalize(pool, kind)
     if not isinstance(norm, frozenset):
         return prefix_free_measure(norm, kind)
-    kind = kind_of(norm, kind)
     return Fraction(len(norm), cell_den(kind, len(next(iter(norm))))) if norm else ZERO
 
 
@@ -303,7 +322,7 @@ class SortedPrefixFree:
     def __init__(self, members: Iterable, kind: str | None = None):
         pool = members if isinstance(members, frozenset) else frozenset(members)
         self.kind = kind_of(pool, kind)
-        norm = _normalize(pool)
+        norm = _normalize(pool, self.kind)
         # one pass when _normalize swept the members in this order already
         self.keys = keys = sorted(norm if self.kind == "binary" else map(_family_key, norm))
         self.den, weight = length_weights(map(len, keys), self.kind)
@@ -346,7 +365,7 @@ def cell_mass(members: frozenset, t) -> Fraction:
         inside = [s for s in members if s.startswith(t)]
     else:
         inside = [s for s in members if s[: len(t)] == t]
-    return prefix_free_measure(_normalize(inside), kind)
+    return prefix_free_measure(_normalize(inside, kind), kind)
 
 
 def open_set_covers(members: Iterable, s) -> bool:
@@ -414,24 +433,16 @@ def pattern_encodings(
     width: int, keys: Sequence[int], assignments: Iterable[Sequence[int]]
 ) -> tuple[EncodingFunction, ...]:
     """Encodings of ``width`` whose entries at ``keys`` form one of the
-    assignments, in lexicographic order.
-
-    Each assignment's completions are generated directly: the free table
-    positions take every ordering of the values the assignment leaves.
-    """
-    size = 1 << width
-    free = sorted(set(range(size)).difference(keys))
-    tables = []
-    for values in assignments:
-        table = [0] * size
-        for z, v in zip(keys, values):
-            table[z] = v
-        for rest in itertools.permutations(sorted(set(range(size)).difference(values))):
-            for i, v in zip(free, rest):
-                table[i] = v
-            tables.append(tuple(table))
-    tables.sort()
-    return tuple(EncodingFunction(width, table) for table in tables)
+    assignments, in lexicographic order: a filter of ``all_encodings``,
+    so its width cap applies."""
+    bad = frozenset(map(tuple, assignments))
+    encodings = all_encodings(width)
+    if not keys:
+        return encodings if () in bad else ()
+    pick = itemgetter(*keys)  # one key picks a value, not a 1-tuple
+    if len(keys) == 1:
+        bad = frozenset(v for (v,) in bad)
+    return tuple(e for e in encodings if pick(e.table) in bad)
 
 
 def least_encoding(

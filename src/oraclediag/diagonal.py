@@ -31,8 +31,10 @@ Approx mode scores a candidate by whether a stage fills its cell; a
 rejected candidate rejects every candidate its first filling stage
 fills, so only the least candidate that stage leaves open is certified
 next.  The transcripts equal those of the sorted path, which any stage
-holding a plain frozenset block still takes.  Family
-escapes reach depth 3 over member sets and depth 4 over compact ones.
+holding a plain frozenset block still takes.  Family escapes reach
+depth 4 (``PATTERN_DEPTH_CAP``); a level that must scan its candidates,
+as over member sets, asks ``all_encodings`` for them, which refuses
+width 4.
 """
 
 from __future__ import annotations
@@ -375,8 +377,6 @@ def _approx_escape(
         if S.kind == "family":
             chosen = _approx_patterns(S, prefix, level + 1, k_start, k_max)
         if chosen is None:
-            if S.kind == "family" and level >= FAMILY_DEPTH_CAP:
-                raise ValueError(f"depth {level + 1} needs compact stages")
             chosen = _approx_scan(S, prefix, candidates_at(level), k_start, k_max)
         if not chosen:
             raise EscapeContractViolation(
@@ -412,15 +412,7 @@ def escape_binary(
     return _escape(S, "binary", depth, mode, lambda level: ("0", "1"), k_start, k_max)
 
 
-FAMILY_DEPTH_CAP = 3
 PATTERN_DEPTH_CAP = 4
-
-
-def _compact(S) -> bool:
-    """True iff S is a compact set or an open set whose last stage is one."""
-    if isinstance(S, EnumeratedOpenSet):
-        return S.kind == "family" and isinstance(_stage_view(S, S.stage_cap), FamilyPatternSet)
-    return isinstance(S, FamilyPatternSet)
 
 
 def escape_family(
@@ -432,16 +424,15 @@ def escape_family(
 ) -> EscapeTranscript:
     """Family prefix of the requested depth escaping a family open set.
 
-    Depth is capped at 3 over member sets, whose level-3 extension
-    already scans 40320 candidate encodings, and at 4 over compact sets
-    (``FamilyPatternSet`` stages), which are searched without a scan;
-    past 4, cell volumes need precisions beyond the default ``k_max``.
+    Depth is capped at ``PATTERN_DEPTH_CAP`` (4): past it, cell volumes
+    need precisions beyond the default ``k_max``.  Compact stages
+    (``FamilyPatternSet``) are searched without a scan; a level that
+    scans takes its candidates from ``all_encodings``, which refuses
+    width 4, so a member set fails there unless approx mode certifies
+    the least candidate at once.
     """
-    if depth > FAMILY_DEPTH_CAP and (depth > PATTERN_DEPTH_CAP or not _compact(S)):
-        raise ValueError(
-            f"family escape depth capped at {FAMILY_DEPTH_CAP}"
-            f" ({PATTERN_DEPTH_CAP} for constraint patterns)"
-        )
+    if depth > PATTERN_DEPTH_CAP:
+        raise ValueError(f"family escape depth capped at {PATTERN_DEPTH_CAP}")
     candidates_at = lambda level: all_encodings(level + 1)
     return _escape(S, "family", depth, mode, candidates_at, k_start, k_max)
 
@@ -546,7 +537,6 @@ def build_ggm_testfamily(
     d: int,
     n: int,
     experiment: str = "dlog",
-    exhaustive_cap: int = 3,
 ) -> FamilyPatternSet:
     """Length-n prefixes whose last encoding breaks the 1/n**d target.
 
@@ -554,14 +544,12 @@ def build_ggm_testfamily(
     them on which the program's success, thresholded in integers, beats
     the target (``experiments.bad_assignments``); no encoding is built.
     The first n - 1 coordinates are free; the set therefore measures
-    exactly (number of bad encodings) / (2**n)!.  Levels past
-    ``exhaustive_cap`` are refused.
+    exactly (number of bad encodings) / (2**n)!.  A level is limited
+    only by the instance budget of the plan it thresholds.
     """
     from .experiments import bad_assignments  # local import to avoid a cycle
 
     if d < 2:
         raise ValueError("need d >= 2")
-    if n > exhaustive_cap:
-        raise ValueError(f"level {n} beyond the exhaustive cap {exhaustive_cap}")
     prog = program_for(n) if callable(program_for) else program_for
     return FamilyPatternSet({n: bad_assignments(prog, n, experiment, Fraction(1, n**d))})

@@ -11,12 +11,12 @@ once, without an encoding, into an instance plan; a run's win then
 depends on at most one table entry sigma(z) == t.  Exhaustive averages
 and the fixed-modulus audit follow from the plan in closed form, because
 each sigma(z) is uniform on 2**n values; they enumerate no encodings.
-The exhaustive path is still capped at width 3 (40320 permutations)
-unless the caller raises the cap explicitly.  The sampled path draws
-encodings from a seeded RNG, evaluates the plan on each by integer
-lookups, and is deterministic per seed; it refuses, before any prime is
-enumerated, a width whose least possible instance count exceeds
-``SAMPLED_INSTANCE_BUDGET``.
+The sampled path draws encodings from a seeded RNG, evaluates the plan
+on each by integer lookups, and is deterministic per seed.  Every
+question pays for its plan, so the plan refuses, before any prime is
+enumerated, a question whose least possible instance count exceeds
+``INSTANCE_BUDGET``: the one size limit of averages, audits and
+constraint sets.
 
 Constraint sets ("encodings where the program beats a threshold") are
 thresholded from the plan as well: ``bad_assignments`` compares integer
@@ -26,10 +26,11 @@ branch once it can no longer cross.  The test family keeps those
 assignments as patterns; no encoding is built.
 
 ``success_vector`` builds one ``Fraction`` per encoding; it is the test
-oracle's path, not the constraint-set path.  ``dlog_success_for_sigma``,
-``cdh_success_for_sigma`` and ``success_vector(method="naive")`` rerun
-the interpreter ``run_generic`` per encoding and decide each win from
-its output; they are the independent path the plan is tested against.
+oracle's path, not the constraint-set path, and ``all_encodings`` caps
+its width.  ``dlog_success_for_sigma``, ``cdh_success_for_sigma`` and
+``success_vector(method="naive")`` rerun the interpreter ``run_generic``
+per encoding and decide each win from its output; they are the
+independent path the plan is tested against.
 """
 
 from __future__ import annotations
@@ -41,24 +42,20 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .cylinder import EncodingFunction, all_encodings, encf_count
+from .cylinder import EncodingFunction, all_encodings
 from .vm import GenericProgram, RunResult, coin_tapes, run_generic, run_symbolic
 
-EXHAUSTIVE_WIDTH_CAP = 3
-# Sampled mode runs every (prime, hidden values, coins) instance once;
-# a width is refused when even its least instance count, with one prime
-# of 2**(n-1), is larger.  The real count is about 1.5 times the number
-# of primes larger: width 13 dlog, the widest this admits without coins,
-# runs 2.8M instances, ~16 s on a 2-vCPU VM.
-SAMPLED_INSTANCE_BUDGET = 2**12
-
-
-class ExhaustiveCapExceeded(ValueError):
-    """Exhaustive encoding enumeration was requested beyond the width cap."""
+# An instance plan runs every (modulus, hidden values, coins) instance
+# once; a question is refused when even its least instance count, with
+# one prime of 2**(n-1), is larger.  Over the n-bit primes the real
+# count is about 1.5 times the number of primes larger: width 13 dlog,
+# the widest this admits without coins, runs 2.8M instances, ~16 s on a
+# 2-vCPU VM.
+INSTANCE_BUDGET = 2**12
 
 
 class InstanceBudgetExceeded(ValueError):
-    """A sampled experiment would run more instances than the budget."""
+    """An instance plan would run more instances than the budget."""
 
 
 def _is_prime(k: int) -> bool:
@@ -98,7 +95,6 @@ def largest_prime_factor(N: int) -> int:
 class ExperimentResult:
     success: Fraction
     max_queries: int
-    trials: str
 
     def row(self, program: str, n: int, modulus: str) -> dict:
         """CSV-friendly view: exact rational plus a decimal convenience column."""
@@ -196,27 +192,6 @@ def _check_arity(prog: GenericProgram, experiment: str) -> None:
         )
 
 
-def _check_cap(n: int, exhaustive_cap: int) -> None:
-    if n > exhaustive_cap:
-        raise ExhaustiveCapExceeded(
-            f"width {n} needs (2**{n})! encodings; cap is {exhaustive_cap}"
-        )
-
-
-def _check_budget(prog: GenericProgram, n: int) -> None:
-    """Refuse a sampled width before its primes are enumerated.
-
-    A prime lies in ``[2**(n-1), 2**n)``, so there are at least
-    ``2**((n-1) * hidden values + coins)`` instances.
-    """
-    bits = (n - 1) * (prog.n_inputs - 1) + prog.coin_count
-    if n >= 2 and 2**bits > SAMPLED_INSTANCE_BUDGET:
-        raise InstanceBudgetExceeded(
-            f"width {n} needs at least 2**{bits} instances;"
-            f" the sampled-mode budget is {SAMPLED_INSTANCE_BUDGET}"
-        )
-
-
 def _win_entry(experiment: str, kind: str, value: int, N: int, hidden: tuple, top: int):
     """How one symbolic run wins: outright (a bool) or as (z, t), iff table[z] == t."""
     if experiment == "dlog":
@@ -297,9 +272,22 @@ class _InstancePlan:
 
 
 def _instance_plan(
-    prog: GenericProgram, n: int, moduli: Sequence[int], experiment: str
+    prog: GenericProgram, n: int, experiment: str, modulus: int | None = None
 ) -> _InstancePlan:
+    """Every instance over the n-bit primes, or over ``modulus`` alone.
+
+    A prime lies in ``[2**(n-1), 2**n)``, so the question runs at least
+    ``(modulus or 2**(n-1))**hidden values * 2**coins`` instances; past
+    ``INSTANCE_BUDGET`` it is refused before any prime is enumerated.  A
+    width below 2 counts one prime of 1 and is refused by ``_primes``.
+    """
     _check_arity(prog, experiment)
+    least = (modulus or 2 ** max(n - 1, 0)) ** (prog.n_inputs - 1) * 2**prog.coin_count
+    if least > INSTANCE_BUDGET:
+        raise InstanceBudgetExceeded(
+            f"width {n} needs at least {least} instances; the budget is {INSTANCE_BUDGET}"
+        )
+    moduli = (modulus,) if modulus else _primes(n)
     tapes = list(coin_tapes(prog.coin_count))
     top = 1 << n
     grid = [(N, list(_hidden_tuples(prog, N))) for N in moduli]
@@ -330,33 +318,24 @@ def _ggm_average(
     mode: str,
     seed: int | None,
     samples: int,
-    exhaustive_cap: int,
 ) -> ExperimentResult:
     if mode == "exhaustive":
-        _check_cap(n, exhaustive_cap)
-        plan = _instance_plan(prog, n, _primes(n), experiment)
-        # (2**n)! outgrows int-to-text conversion by width 12
-        count = encf_count(n) if n <= EXHAUSTIVE_WIDTH_CAP else f"(2**{n})!"
-        return ExperimentResult(plan.average(), plan.max_queries, f"exhaustive:{count}")
+        plan = _instance_plan(prog, n, experiment)
+        return ExperimentResult(plan.average(), plan.max_queries)
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
     if seed is None:
         raise ValueError("sampled mode requires a seed")
     if samples < 1:
         raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
-    _check_budget(prog, n)
-    plan = _instance_plan(prog, n, _primes(n), experiment)
+    plan = _instance_plan(prog, n, experiment)
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
         table = list(range(1 << n))
         rng.shuffle(table)
         hits += plan.hits(table)
-    return ExperimentResult(
-        Fraction(hits, plan.den * samples),
-        plan.max_queries,
-        f"sample:seed={seed},count={samples}",
-    )
+    return ExperimentResult(Fraction(hits, plan.den * samples), plan.max_queries)
 
 
 def dlog_success_ggm(
@@ -365,10 +344,9 @@ def dlog_success_ggm(
     mode: str = "exhaustive",
     seed: int | None = None,
     samples: int = 50,
-    exhaustive_cap: int = EXHAUSTIVE_WIDTH_CAP,
 ) -> ExperimentResult:
     """Success of the discrete-log experiment averaged over encodings."""
-    return _ggm_average(prog, n, "dlog", mode, seed, samples, exhaustive_cap)
+    return _ggm_average(prog, n, "dlog", mode, seed, samples)
 
 
 def cdh_success_ggm(
@@ -377,10 +355,9 @@ def cdh_success_ggm(
     mode: str = "exhaustive",
     seed: int | None = None,
     samples: int = 50,
-    exhaustive_cap: int = EXHAUSTIVE_WIDTH_CAP,
 ) -> ExperimentResult:
     """Success of the Diffie-Hellman experiment averaged over encodings."""
-    return _ggm_average(prog, n, "cdh", mode, seed, samples, exhaustive_cap)
+    return _ggm_average(prog, n, "cdh", mode, seed, samples)
 
 
 @dataclass(frozen=True)
@@ -408,13 +385,7 @@ class AuditResult:
         }
 
 
-def shoup_audit(
-    prog: GenericProgram,
-    n: int,
-    N: int,
-    C: int,
-    exhaustive_cap: int = EXHAUSTIVE_WIDTH_CAP,
-) -> AuditResult:
+def shoup_audit(prog: GenericProgram, n: int, N: int, C: int) -> AuditResult:
     """Audit the fixed-modulus experiment against the C m^2 / p ceiling.
 
     The success probability averages over every encoding of width n, every
@@ -426,9 +397,8 @@ def shoup_audit(
         raise ValueError(f"need 2 <= N <= 2**n - 1, got N={N} at n={n}")
     if C < 1:
         raise ValueError(f"need C >= 1, got {C}")
-    _check_cap(n, exhaustive_cap)
     experiment = "cdh" if prog.n_inputs == 3 else "dlog"
-    plan = _instance_plan(prog, n, (N,), experiment)
+    plan = _instance_plan(prog, n, experiment, N)
     success, max_queries = plan.average(), plan.max_queries
     p = largest_prime_factor(N)
     bound = Fraction(C * max_queries * max_queries, p)
@@ -449,19 +419,19 @@ def success_vector(
     encoding over the common denominator.  The naive path reruns the full
     interpreter per encoding; both must agree, and the tests hold them to
     that.  Constraint sets need only the assignments above a threshold and
-    take ``bad_assignments`` instead.  Widths past ``EXHAUSTIVE_WIDTH_CAP``
-    are refused before any encoding is built.
+    take ``bad_assignments`` instead.  ``all_encodings`` refuses a width
+    past its cap before any instance runs.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
-    _check_cap(n, EXHAUSTIVE_WIDTH_CAP)
+    if method not in ("fast", "naive"):
+        raise ValueError(f"unknown method {method!r}")
+    encodings = all_encodings(n)
     if method == "naive":
         per = dlog_success_for_sigma if experiment == "dlog" else cdh_success_for_sigma
-        return tuple(per(prog, n, sigma) for sigma in all_encodings(n))
-    if method != "fast":
-        raise ValueError(f"unknown method {method!r}")
-    plan = _instance_plan(prog, n, _primes(n), experiment)
-    return tuple(Fraction(plan.hits(sigma.table), plan.den) for sigma in all_encodings(n))
+        return tuple(per(prog, n, sigma) for sigma in encodings)
+    plan = _instance_plan(prog, n, experiment)
+    return tuple(Fraction(plan.hits(sigma.table), plan.den) for sigma in encodings)
 
 
 def bad_assignments(
@@ -474,17 +444,17 @@ def bad_assignments(
     to them on which success is ``> threshold``.
 
     The encodings completing those assignments are exactly those above
-    the threshold; none of them is enumerated, so no width cap applies.
+    the threshold; none of them is enumerated, so only the instance
+    budget applies.
     """
     if experiment not in ("dlog", "cdh"):
         raise ValueError(f"unknown experiment {experiment!r}")
-    return _instance_plan(prog, n, _primes(n), experiment).crossing(threshold)
+    return _instance_plan(prog, n, experiment).crossing(threshold)
 
 
 def minimal_shoup_constant(
     progs: Sequence[GenericProgram],
     cells: Sequence[tuple[int, int]],
-    exhaustive_cap: int = EXHAUSTIVE_WIDTH_CAP,
 ) -> Fraction:
     """Smallest C' with success <= C' m^2 / p across the audited grid.
 
@@ -499,7 +469,7 @@ def minimal_shoup_constant(
     best = Fraction(0)
     for prog in progs:
         for n, N in cells:
-            audit = shoup_audit(prog, n, N, C=1, exhaustive_cap=exhaustive_cap)
+            audit = shoup_audit(prog, n, N, C=1)
             if audit.max_queries == 0:
                 raise ValueError(f"{prog.name} makes no queries at (n={n}, N={N})")
             ratio = audit.success * audit.largest_prime / audit.max_queries**2

@@ -92,9 +92,7 @@ def registry_testfamily(
         if not 1 <= i <= len(registry) or n > horizon or n < 2:
             return frozenset()
         adversary = registry[i - 1]
-        return build_ggm_testfamily(
-            adversary.program_for, d, n, experiment=adversary.experiment, exhaustive_cap=horizon
-        )
+        return build_ggm_testfamily(adversary.program_for, d, n, experiment=adversary.experiment)
 
     return family
 

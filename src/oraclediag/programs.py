@@ -33,6 +33,11 @@ from .vm import (
 )
 
 
+# bsgs:1 at width 13, the widest dlog width the instance budget admits,
+# has 40968 instructions; bsgs:1 at width 64 would never finish building
+PROGRAM_LENGTH_CAP = 2**16
+
+
 class _Asm:
     """Instruction-list builder with named labels and register tracking."""
 
@@ -41,8 +46,13 @@ class _Asm:
         self.labels: dict[str, int] = {}
         self._regs = 0
 
-    def _value(self, ins: list) -> int:
+    def _emit(self, ins: list) -> None:
+        if len(self.instrs) == PROGRAM_LENGTH_CAP:
+            raise ValueError(f"program longer than {PROGRAM_LENGTH_CAP} instructions")
         self.instrs.append(ins)
+
+    def _value(self, ins: list) -> int:
+        self._emit(ins)
         self._regs += 1
         return self._regs - 1
 
@@ -59,16 +69,16 @@ class _Asm:
         return self._value([OP_CONST, c])
 
     def eq(self, a: int, b: int, label: str) -> None:
-        self.instrs.append([OP_EQ, a, b, label])
+        self._emit([OP_EQ, a, b, label])
 
     def coin(self, label: str) -> None:
-        self.instrs.append([OP_COIN, label])
+        self._emit([OP_COIN, label])
 
     def out_int(self, base: int | None, mod: bool = False) -> None:
-        self.instrs.append([OP_OUT_INT, base, mod])
+        self._emit([OP_OUT_INT, base, mod])
 
     def out_reg(self, a: int) -> None:
-        self.instrs.append([OP_OUT_REG, a])
+        self._emit([OP_OUT_REG, a])
 
     def label(self, name: str) -> None:
         self.labels[name] = len(self.instrs)

@@ -228,11 +228,10 @@ def pattern_set_measure(patterns: Sequence[ConstraintPattern]) -> Fraction:
     tables differ in some pinned block) or be few enough for
     inclusion-exclusion.
     """
-    unique = sorted(set(patterns), key=lambda p: (p.length, p.pins))
-    if not unique:
-        return Fraction(0)
+    unique = set(patterns)
     # distinct patterns pinning the same positions of the same length
-    # differ in a pinned bit, so only pairs across groups need a test
+    # differ in a pinned bit, so only pairs across groups need a test,
+    # and a group of them measures its size over 2**pins
     groups: dict[tuple[int, tuple[int, ...]], list[ConstraintPattern]] = {}
     for p in unique:
         groups.setdefault((p.length, tuple(pos for pos, _ in p.pins)), []).append(p)
@@ -242,7 +241,10 @@ def pattern_set_measure(patterns: Sequence[ConstraintPattern]) -> Fraction:
         for a in one
         for b in other
     ):
-        return sum((p.measure() for p in unique), Fraction(0))
+        return sum(
+            (Fraction(len(group), 2 ** len(pins)) for (_, pins), group in groups.items()),
+            Fraction(0),
+        )
     if len(unique) > 16:
         raise InfeasibleSizeError(
             "overlapping patterns: inclusion-exclusion capped at 16 members"

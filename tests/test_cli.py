@@ -132,7 +132,7 @@ class TestExperiments:
         "argv",
         [
             ["dlog", "--prog", "const_guess:0", "--n", "1"],
-            ["dlog", "--prog", "const_guess:0", "--n", "4"],
+            ["dlog", "--prog", "const_guess:0", "--n", "14"],
             ["dlog", "--prog", "const_guess:0", "--n", "3", "--N", "9"],
             ["dlog", "--prog", "const_guess:0", "--n", "2", "--mode", "sample",
              "--seed", "1", "--samples", "0"],
@@ -140,15 +140,17 @@ class TestExperiments:
              "--seed", "1", "--samples", "-3"],
             ["dlog", "--prog", "linear_search:2", "--n", "3", "--N", "5", "--C", "-1"],
             ["cdh", "--prog", "const_guess:0", "--n", "2"],
+            ["dlog", "--prog", "bsgs:1", "--n", "64", "--N", "5"],
         ],
-        ids=["n1", "n4", "N9", "samples0", "samples-3", "C-1", "dlog-program-in-cdh"],
+        ids=["n1", "n14", "N9", "samples0", "samples-3", "C-1", "dlog-program-in-cdh", "bsgs-n64"],
     )
     def test_bad_inputs_are_usage_errors(self, argv):
         assert_usage_error(argv)
 
     def test_wide_exhaustive_width_reports_the_cap(self):
-        done = assert_usage_error(["dlog", "--prog", "const_guess:0", "--n", "12"])
-        assert done.stderr == "error: width 12 needs (2**12)! encodings; cap is 3\n"
+        # the cap on exhaustive widths is the instance budget: 128**2 > 4096
+        done = assert_usage_error(["cdh", "--prog", "cdh_echo", "--n", "8"])
+        assert done.stderr == "error: width 8 needs at least 16384 instances; the budget is 4096\n"
 
     def test_wide_sampled_width_is_refused_quickly(self):
         started = time.perf_counter()
@@ -217,9 +219,9 @@ class TestDiagonalize:
         calls = []
         original = cylinder._normalize
 
-        def counting(members):
+        def counting(members, kind=None):
             calls.append(len(members))
-            return original(members)
+            return original(members, kind)
 
         monkeypatch.setattr(cylinder, "_normalize", counting)
         path = tmp_path / "set.txt"
@@ -235,6 +237,31 @@ class TestDiagonalize:
             # the whole set once; both escape modes then answer from its
             # sorted order, and the check looks up prefixes in the set
             assert calls == [4]
+
+    def test_each_set_file_is_checked_for_its_kind_once(self, tmp_path, capsys, monkeypatch):
+        from oraclediag import diagonal
+
+        walks = []
+        original = cylinder.kind_of
+
+        def counting(members, expected=None):
+            walks.append(len(members))
+            return original(members, expected)
+
+        monkeypatch.setattr(cylinder, "kind_of", counting)
+        monkeypatch.setattr(diagonal, "kind_of", counting)
+        path = tmp_path / "set.txt"
+        path.write_text("0\n01\n10\n110\n")
+        for argv, expected in (
+            (["measure", str(path)], [4]),
+            # the escape's sorted order, then verify_escape's own check
+            (["diagonalize", str(path), "--depth", "4"], [4, 4]),
+            (["diagonalize", str(path), "--depth", "4", "--mode", "approx"], [4, 4]),
+        ):
+            walks.clear()
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, out
+            assert walks == expected
 
     def test_toy_pipeline_paper(self, capsys):
         code, out, _ = run_cli(
@@ -329,7 +356,8 @@ def cli_argvs(draw):
             ["const_guess", "random_guess", "linear_search", "bsgs", "cdh_echo", "cdh_invalid"]
         ))
         argv = [command, "--prog", f"{name}:{draw(st.integers(-1, 3))}"]
-        argv += ["--n", str(draw(st.integers(-1, 3)))]
+        # widths 7-13 answer but take seconds each; past 13 the budget refuses
+        argv += ["--n", str(draw(st.integers(-1, 6) | st.integers(14, 64)))]
         argv += draw(st.sampled_from([[], ["--mode", "sample"]]))
         return argv + _flags(draw, {"--N": (-1, 8), "--C": (-2, 3), "--seed": (-2, 5),
                                     "--samples": (-1, 8)})

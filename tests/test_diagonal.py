@@ -30,6 +30,7 @@ from oraclediag.diagonal import (
     escape_family,
     verify_escape,
 )
+from oraclediag.experiments import InstanceBudgetExceeded
 from oraclediag.programs import const_guess, invalid_guess, linear_search
 from oraclediag.schedules import Schedule
 
@@ -411,8 +412,11 @@ class TestGgmTestfamily:
         assert family_measure(members) == Fraction(bad, 24)
 
     def test_level_cap(self):
-        with pytest.raises(ValueError):
-            build_ggm_testfamily(const_guess(0), 2, 4)
+        # a level is limited by the plan's instance budget alone
+        block = build_ggm_testfamily(const_guess(0), 2, 4)
+        assert block.levels == {4: ((), frozenset({()}))} and block.measure() == 1
+        with pytest.raises(InstanceBudgetExceeded):
+            build_ggm_testfamily(const_guess(0), 2, 14)
 
     def test_one_plan_per_call_and_no_success_vector(self, monkeypatch):
         import oraclediag.experiments as experiments
@@ -424,9 +428,9 @@ class TestGgmTestfamily:
         plans = []
         instance_plan = experiments._instance_plan
 
-        def recording(prog, n, moduli, experiment):
+        def recording(prog, n, experiment, modulus=None):
             plans.append((prog, n))
-            return instance_plan(prog, n, moduli, experiment)
+            return instance_plan(prog, n, experiment, modulus)
 
         monkeypatch.setattr(experiments, "success_vector", refuse)
         monkeypatch.setattr(experiments, "_instance_plan", recording)

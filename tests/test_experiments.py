@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclediag.cylinder import all_bit_strings, all_encodings, pattern_encodings
-from oraclediag.experiments import (
+from oraclediag.cylinder import (
     ExhaustiveCapExceeded,
+    all_bit_strings,
+    all_encodings,
+    pattern_encodings,
+)
+from oraclediag.diagonal import build_ggm_testfamily
+from oraclediag.experiments import (
     InstanceBudgetExceeded,
     _hidden_tuples,
     _instance_plan,
@@ -119,8 +124,10 @@ class TestSampledMode:
         assert a == b
 
     def test_exhaustive_cap(self):
+        # averages build no encoding; only a per-encoding vector is capped
+        assert dlog_success_ggm(const_guess(0), 4).success == Fraction(1, 11) / 2 + Fraction(1, 13) / 2
         with pytest.raises(ExhaustiveCapExceeded):
-            dlog_success_ggm(const_guess(0), 4)
+            success_vector(const_guess(0), 4)
 
     def test_agreement_within_three_stderr(self):
         prog = cdh_const_guess("000")
@@ -249,11 +256,12 @@ def test_success_vector_fast_matches_naive(prog, experiment):
 def test_success_vector_refuses_past_the_width_cap(monkeypatch, method):
     import oraclediag.experiments as experiments
 
-    def refuse(n):
-        raise AssertionError("encodings enumerated")
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance was run")
 
-    monkeypatch.setattr(experiments, "all_encodings", refuse)
-    with pytest.raises(ExhaustiveCapExceeded, match=r"width 4 needs \(2\*\*4\)! encodings"):
+    monkeypatch.setattr(experiments, "run_symbolic", refuse)
+    monkeypatch.setattr(experiments, "run_generic", refuse)
+    with pytest.raises(ExhaustiveCapExceeded, match=r"width 4 has \(2\*\*4\)! encodings"):
         success_vector(const_guess(0), 4, "dlog", method)
 
 
@@ -307,7 +315,6 @@ class TestPlanAgainstNaive:
         sampled = cdh_success_ggm(prog, 2, mode="sample", seed=4, samples=12)
         expected = _mean(cdh_success_for_sigma(prog, 2, s) for s in _sampled_sigmas(2, 4, 12))
         assert sampled.success == expected
-        assert sampled.trials == "sample:seed=4,count=12"
 
 
 def _naive_audit(prog, n, N, C):
@@ -463,7 +470,7 @@ class TestEncodingsAbove:
         assert pattern_encodings(2, *plan.crossing(Fraction(3, 8))) == ()
         assert pattern_encodings(2, *plan.crossing(Fraction(1))) == ()
         for prog, everything in ((const_guess(0), True), (invalid_guess(), False)):
-            assert not _instance_plan(prog, 2, nbit_primes(2), "dlog").weights
+            assert not _instance_plan(prog, 2, "dlog").weights
             got = pattern_encodings(2, *bad_assignments(prog, 2, "dlog", 0))
             assert got == (all_encodings(2) if everything else ())
 
@@ -473,7 +480,7 @@ class TestEncodingsAbove:
             expected = tuple(s for s in all_encodings(2) if s.table[1] in entries)
             assert pattern_encodings(2, *plan.crossing(threshold)) == expected
         prog = cdh_pin_table([(1, "10")])
-        assert set(_instance_plan(prog, 2, nbit_primes(2), "cdh").weights) == {1}
+        assert set(_instance_plan(prog, 2, "cdh").weights) == {1}
         naive = success_vector(prog, 2, "cdh", "naive")
         for threshold in sorted(set(naive)) + [Fraction(-1)]:
             expected = tuple(e for e, s in zip(all_encodings(2), naive) if s > threshold)
@@ -501,24 +508,39 @@ def test_one_table_entry_per_win(n, idx):
                 assert isinstance(entry, tuple) and len(entry) == 2
                 z, t = entry
                 assert 0 <= z < N and 0 <= t < top
-    plan = _instance_plan(prog, n, nbit_primes(n), experiment)
+    plan = _instance_plan(prog, n, experiment)
     hits = sum(plan.hits(sigma.table) for sigma in all_encodings(n))
     assert plan.average() == Fraction(hits, plan.den * len(all_encodings(n)))
 
 
 class TestSampledBudget:
+    """One instance budget, checked by the plan, for every question."""
+
     def test_refused_before_any_prime_is_enumerated(self, monkeypatch):
         import oraclediag.experiments as experiments
 
-        def refuse(n):
-            raise AssertionError("primes enumerated")
+        def refuse(*args, **kwargs):
+            raise AssertionError("primes enumerated or an instance run")
 
         monkeypatch.setattr(experiments, "nbit_primes", refuse)
+        monkeypatch.setattr(experiments, "run_symbolic", refuse)
+        for mode in ("exhaustive", "sample"):
+            for call in (
+                lambda: dlog_success_ggm(const_guess(0), 30, mode=mode, seed=1),
+                lambda: dlog_success_ggm(const_guess(0), 14, mode=mode, seed=1),
+                lambda: cdh_success_ggm(cdh_echo(), 8, mode=mode, seed=1),
+                lambda: dlog_success_ggm(random_guess(9), 5, mode=mode, seed=1),
+                lambda: dlog_success_ggm(random_guess(12), 2, mode=mode, seed=1),
+            ):
+                with pytest.raises(InstanceBudgetExceeded):
+                    call()
         for call in (
-            lambda: dlog_success_ggm(const_guess(0), 30, mode="sample", seed=1),
-            lambda: dlog_success_ggm(const_guess(0), 14, mode="sample", seed=1),
-            lambda: cdh_success_ggm(cdh_echo(), 8, mode="sample", seed=1),
-            lambda: dlog_success_ggm(random_guess(9), 5, mode="sample", seed=1),
+            lambda: shoup_audit(cdh_echo(), 7, 127, C=1),  # 127**2 instances
+            lambda: shoup_audit(random_guess(10), 3, 5, C=1),  # 5 * 2**10
+            lambda: minimal_shoup_constant([linear_search(1)], [(13, 4099)]),
+            lambda: build_ggm_testfamily(const_guess(0), 2, 14),
+            lambda: build_ggm_testfamily(cdh_echo(), 2, 8, experiment="cdh"),
+            lambda: bad_assignments(cdh_echo(), 8, "cdh", Fraction(1, 2)),
         ):
             with pytest.raises(InstanceBudgetExceeded):
                 call()
@@ -531,10 +553,48 @@ class TestSampledBudget:
             for prog in (cdh_echo(), cdh_const_guess("01")):
                 assert 0 <= cdh_success_ggm(prog, n, mode="sample", seed=n, samples=3).success <= 1
 
+    def test_budget_boundary(self, monkeypatch):
+        """The least count ``2**(n-1)`` (or ``N``) may equal the budget."""
+        import oraclediag.experiments as experiments
 
-def test_trials_text_past_the_width_cap():
-    assert dlog_success_ggm(const_guess(0), 3).trials == "exhaustive:40320"
-    wide = dlog_success_ggm(const_guess(0), 4, exhaustive_cap=4)
-    assert wide.trials == "exhaustive:(2**4)!"
-    with pytest.raises(ExhaustiveCapExceeded, match=r"\(2\*\*12\)! encodings"):
-        dlog_success_ggm(const_guess(0), 12)
+        monkeypatch.setattr(experiments, "INSTANCE_BUDGET", 2**4)
+        primes = nbit_primes(5)
+        expected = sum((Fraction(1, p) for p in primes), Fraction(0)) / len(primes)
+        for mode in ("exhaustive", "sample"):
+            assert dlog_success_ggm(const_guess(0), 5, mode=mode, seed=1).success == expected
+            with pytest.raises(InstanceBudgetExceeded, match="width 6 needs at least 32"):
+                dlog_success_ggm(const_guess(0), 6, mode=mode, seed=1)
+        assert shoup_audit(const_guess(0), 5, 16, C=1).success == Fraction(1, 16)
+        with pytest.raises(InstanceBudgetExceeded):
+            shoup_audit(const_guess(0), 5, 17, C=1)
+
+
+# ---------------------------------------------------------------------------
+# Past width 3: the closed forms of the ``programs`` docstring
+# ---------------------------------------------------------------------------
+
+# success at one prime modulus p; the naive oracle cannot run these widths
+CLOSED_FORMS = {
+    "const_guess(0)": (const_guess(0), lambda p: Fraction(1, p)),
+    "const_guess(20)": (const_guess(20), lambda p: Fraction(int(20 < p), p)),
+    "linear_search(3)": (linear_search(3), lambda p: Fraction(min(4, p), p)),
+    "linear_search(12)": (linear_search(12), lambda p: Fraction(min(13, p), p)),
+    "invalid_guess": (invalid_guess(), lambda p: Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_exhaustive_average_past_width_three(n, name):
+    prog, at = CLOSED_FORMS[name]
+    primes = nbit_primes(n)
+    expected = sum(map(at, primes), Fraction(0)) / len(primes)
+    assert dlog_success_ggm(prog, n).success == expected
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+@pytest.mark.parametrize("n,N", [(4, 13), (5, 17), (6, 61), (7, 127), (8, 251)])
+def test_audit_past_width_three(n, N, name):
+    prog, at = CLOSED_FORMS[name]
+    audit = shoup_audit(prog, n, N, C=1)
+    assert audit.success == at(N) and audit.largest_prime == N

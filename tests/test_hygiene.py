@@ -1,6 +1,9 @@
-"""Source hygiene: every name a module imports is read somewhere in it."""
+"""Source hygiene: every name a module imports is read somewhere in it,
+and every name the benchmark looks up in the package exists."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +39,63 @@ def test_no_module_imports_a_name_it_never_reads():
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert not found, sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Names the benchmark looks up in the package
+# ---------------------------------------------------------------------------
+
+BENCH = ROOT / "bench"
+OD_REFERENCE = re.compile(r"\bod\.(\w+)\.(\w+)")
+
+
+def tracing_targets() -> list[tuple[str, str, str | None]]:
+    """(module, attr, owner class) of every ``Target(...)`` in ``TARGETS``."""
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    (targets,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    ]
+    found = []
+    for call in targets.elts:
+        module, attr = (arg.value for arg in call.args[:2])
+        owner = next((k.value.value for k in call.keywords if k.arg == "owner"), None)
+        found.append((module, attr, owner))
+    return found
+
+
+def bench_references() -> set[tuple[str, str]]:
+    """Every ``od.<module>.<name>`` in the benchmark's scripts and tests."""
+    paths = [*BENCH.glob("*.py"), *(BENCH / "tests").glob("*.py")]
+    return {m.groups() for path in paths for m in OD_REFERENCE.finditer(path.read_text(encoding="utf-8"))}
+
+
+def _resolves(module: str, attr: str, owner: str | None = None) -> bool:
+    try:
+        found = importlib.import_module(f"oraclediag.{module}")
+    except ImportError:
+        return False
+    if owner is not None:
+        found = getattr(found, owner, None)
+    return hasattr(found, attr)
+
+
+def test_the_scans_see_the_benchmark_names():
+    targets = tracing_targets()
+    assert ("cli", "main", None) in targets and ("schedules", "f", "Schedule") in targets
+    assert len(targets) == len(set(targets)) >= 30
+    references = bench_references()
+    assert ("experiments", "nbit_primes") in references and len(references) >= 30
+    assert not _resolves("experiments", "no_such_name") and not _resolves("no_such_module", "f")
+    assert not _resolves("schedules", "no_such_method", "Schedule")
+
+
+def test_every_name_the_benchmark_needs_exists():
+    missing = [
+        ".".join(filter(None, (module, owner, attr)))
+        for module, attr, owner in tracing_targets()
+        if not _resolves(module, attr, owner)
+    ]
+    missing += [f"{module}.{attr}" for module, attr in bench_references() if not _resolves(module, attr)]
+    assert not missing, sorted(missing)

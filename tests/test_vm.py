@@ -202,3 +202,13 @@ def test_declared_query_bounds():
                 seen = max(seen, run_generic(prog, 5, SIGMA, (1, x), coins).queries)
         assert seen == declared
 
+
+
+def test_builders_refuse_programs_past_the_length_cap():
+    from oraclediag.programs import PROGRAM_LENGTH_CAP
+
+    # bsgs:1 at width 13 is the widest any dlog question can use
+    assert len(bsgs(1, 13).instructions) <= PROGRAM_LENGTH_CAP
+    for build in (lambda: bsgs(1, 64), lambda: random_guess(40), lambda: linear_search(10**9)):
+        with pytest.raises(ValueError, match="program longer than"):
+            build()
