@@ -64,7 +64,7 @@ def cmd_measure(args) -> int:
 def _experiment_command(args, runner) -> int:
     prog = programs.build_program(args.prog, args.n)
     if args.modulus is not None:
-        audit = shoup_audit(prog, args.n, args.modulus, args.C)
+        audit = shoup_audit(prog, args.n, args.command, args.modulus, args.C)
         row = audit.row(prog.name, args.n, args.modulus, args.C)
         code = 0 if audit.holds else 1
     else:

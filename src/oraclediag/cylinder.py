@@ -33,6 +33,24 @@ before it free.  Its measure, cell masses and least avoiding encodings
 follow from the assignments in closed form, so none of its members is
 built unless a caller iterates it.
 
+Escapes read a finite set through one protocol, which both
+:class:`SortedPrefixFree` and :class:`FamilyPatternSet` implement:
+
+* ``kind``, ``"binary"`` or ``"family"``;
+* ``measure()``;
+* ``cell_mass(t)``, the set's mass inside the cell of ``t``;
+* ``covers(t)``, true iff a member is a prefix of ``t``;
+* ``least_open(prefix)``, the least child cell ``t`` of ``prefix`` (in
+  :func:`child` order) whose mass is below its volume, as
+  ``(t, index, child count, mass)``, or None if the set fills every one;
+* ``uniform_open``, true when every cell of one length that the set does
+  not fill holds the same mass, so a cell the set fills holds at least
+  the mass of any other cell of its length.
+
+A cell of the other kind is refused.  :func:`open_view` picks the view of
+a finite set, and :func:`open_union` the form of a union; no other code
+tells the two forms apart.
+
 Every value is immutable after construction and every operation is a
 pure function, so concurrent callers can share inputs freely.
 """
@@ -212,13 +230,16 @@ def normalize_prefix_free(members: Iterable) -> frozenset:
 def kind_of(members: Iterable, expected: str | None = None) -> str | None:
     """``"binary"`` or ``"family"``; ``expected`` (or None) for the empty set.
 
-    Every member is looked at, so a set mixing bit strings and family
-    prefixes, or a set of the other kind than ``expected``, is refused.
+    A compact set states its kind; of any other set every member is
+    looked at, so a set mixing bit strings and family prefixes, or a set
+    of the other kind than ``expected``, is refused.
     """
-    types = set(map(type, members))
-    kind = "binary" if types == {str} else "family" if types == {tuple} else None
-    if types and kind is None:
-        raise KindMismatchError("a set must hold only bit strings or only family prefixes")
+    kind = getattr(members, "kind", None)
+    if kind is None:
+        types = set(map(type, members))
+        kind = "binary" if types == {str} else "family" if types == {tuple} else None
+        if types and kind is None:
+            raise KindMismatchError("a set must hold only bit strings or only family prefixes")
     if expected is not None and kind not in (None, expected):
         raise KindMismatchError(f"expected a {expected} set, got a {kind} set")
     return kind or expected
@@ -277,9 +298,12 @@ def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
 
 
 def _measure(members: Iterable, kind: str | None = None) -> Fraction:
-    """Measure of a set of one kind (``kind``, when given).  A set of one
-    length comes back from ``_normalize`` as it was, and each member
-    weighs one cell of it."""
+    """Measure of a set of one kind (``kind``, when given).  A compact set
+    measures itself; a set of one length comes back from ``_normalize``
+    as it was, and each member weighs one cell of it."""
+    if isinstance(members, FamilyPatternSet):
+        kind_of(members, kind)
+        return members.measure()
     pool = members if isinstance(members, frozenset) else frozenset(members)
     kind = kind_of(pool, kind)
     norm = _normalize(pool, kind)
@@ -295,15 +319,11 @@ def binary_measure(strings: Iterable[Bits]) -> Fraction:
 
 def family_measure(prefixes: Iterable[FamilyPrefix]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of family prefixes."""
-    if isinstance(prefixes, FamilyPatternSet):
-        return prefixes.measure()
     return _measure(prefixes, "family")
 
 
 def measure(members: Iterable) -> Fraction:
     """Measure of a cylinder set of either kind; a mixed set is refused."""
-    if isinstance(members, FamilyPatternSet):
-        return members.measure()
     return _measure(members)
 
 
@@ -318,6 +338,7 @@ class SortedPrefixFree:
     """
 
     __slots__ = ("kind", "keys", "cum", "den")
+    uniform_open = False
 
     def __init__(self, members: Iterable, kind: str | None = None):
         pool = members if isinstance(members, frozenset) else frozenset(members)
@@ -331,34 +352,95 @@ class SortedPrefixFree:
     def measure(self) -> Fraction:
         return Fraction(self.cum[-1], self.den)
 
+    def _place(self, t) -> tuple[object, int, bool]:
+        """``t``'s sort key, the number of keys not after it, and whether a
+        member is a prefix of ``t``: it would be the last of those keys,
+        as every member between the two would extend it."""
+        _check_cell(self.kind, t)
+        low = t if self.kind == "binary" else _family_key(t)
+        lo = bisect_right(self.keys, low)
+        return low, lo, lo > 0 and low[: len(self.keys[lo - 1])] == self.keys[lo - 1]
+
+    def covers(self, t) -> bool:
+        return self._place(t)[2]
+
     def cell_mass(self, t) -> Fraction:
-        """Mass of the set inside the cell of ``t``.
-
-        A member that is a prefix of ``t`` fills the cell; it would be the
-        last member not after ``t``, as every member between the two
-        would extend it.  Otherwise the members in ``t``'s range count.
-        """
-        if self.kind == "binary":
-            low, high = t, t + "2"  # "2" sorts after both bits
-        else:
-            low = _family_key(t)
-            high = low + ((inf,),)  # sorts after every table
-        keys = self.keys
-        lo = bisect_right(keys, low)
-        if lo and low[: len(keys[lo - 1])] == keys[lo - 1]:
+        """Mass of the set inside the cell of ``t``: the whole cell if a
+        member is a prefix of ``t``, else the mass of ``t``'s range."""
+        low, lo, covered = self._place(t)
+        if covered:
             return Fraction(1, cell_den(self.kind, len(t)))
-        return Fraction(self.cum[bisect_left(keys, high, lo)] - self.cum[lo], self.den)
+        # "2" sorts after both bits, (inf,) after every table
+        high = t + "2" if self.kind == "binary" else low + ((inf,),)
+        return Fraction(self.cum[bisect_left(self.keys, high, lo)] - self.cum[lo], self.den)
+
+    def least_open(self, prefix):
+        """A scan of the children in order, two bisections each.  It lists
+        them first, so ``all_encodings`` refuses a family width past its
+        cap whichever child is open."""
+        binary = isinstance(prefix, str)
+        steps = "01" if binary else all_encodings(len(prefix) + 1)
+        cell = Fraction(1, cell_den(self.kind, len(prefix) + 1))
+        for index, step in enumerate(steps):
+            t = prefix + step if binary else prefix + (step,)
+            mass = self.cell_mass(t)
+            if mass < cell:
+                return t, index, len(steps), mass
+        return None
 
 
-def cell_mass(members: frozenset, t) -> Fraction:
-    """Mass of a set of the same kind as ``t`` inside the cell of ``t``.
+def _check_cell(kind: str | None, t) -> None:
+    """Refuse a cell of the other kind than the set's."""
+    if kind != ("binary" if isinstance(t, str) else "family"):
+        raise KindMismatchError(f"a {kind} set has no cell {t!r}")
+
+
+def child(prefix, index: int):
+    """The cell of the ``index``-th child of ``prefix`` in escape order:
+    ``prefix`` and a bit, or ``prefix`` and an encoding of the next width
+    in table order.  Child 0 of a family prefix, the identity, is built
+    without listing the width's encodings."""
+    if isinstance(prefix, str):
+        return prefix + "01"[index]
+    width = len(prefix) + 1
+    if index == 0:
+        return prefix + (EncodingFunction(width, tuple(range(1 << width))),)
+    return prefix + (all_encodings(width)[index],)
+
+
+def child_count(prefix) -> int:
+    """Number of children of ``prefix``: 2, or the encodings of the next width."""
+    return 2 if isinstance(prefix, str) else encf_count(len(prefix) + 1)
+
+
+def open_view(members: Collection, kind: str | None = None):
+    """The escape protocol's view of a finite set: a compact set as it
+    is, any other sorted once (:class:`SortedPrefixFree`).  A set of the
+    other kind than ``kind`` is refused."""
+    if isinstance(members, FamilyPatternSet):
+        kind_of(members, kind)
+        return members
+    return SortedPrefixFree(members, kind)
+
+
+def open_union(pieces: Iterable[Collection], kind: str) -> Collection:
+    """One finite set for the union of finite sets of ``kind``: compact
+    when every nonempty piece of a family union is, else the frozenset
+    of every member."""
+    pieces = [piece for piece in pieces if piece]
+    if kind == "family" and all(isinstance(p, FamilyPatternSet) for p in pieces):
+        return FamilyPatternSet.union(pieces)
+    return frozenset().union(*pieces)
+
+
+def cell_mass(members: Collection, t) -> Fraction:
+    """Mass of a set of the same kind as ``t`` inside the cell of ``t``,
+    member by member: the reference for the views' ``cell_mass``.
 
     Only the members inside the cell are normalized: a proper prefix of
     one of them either lies inside too or covers the whole cell.
     """
-    if isinstance(members, FamilyPatternSet):
-        return members.cell_mass(t)
-    kind = "binary" if isinstance(t, str) else "family"
+    kind = kind_of(members, "binary" if isinstance(t, str) else "family")
     if any(t[:i] in members for i in range(len(t) + 1)):
         return Fraction(1, cell_den(kind, len(t)))
     if kind == "binary":
@@ -366,13 +448,6 @@ def cell_mass(members: frozenset, t) -> Fraction:
     else:
         inside = [s for s in members if s[: len(t)] == t]
     return prefix_free_measure(_normalize(inside, kind), kind)
-
-
-def open_set_covers(members: Iterable, s) -> bool:
-    """True iff the cell of `s` lies inside the open set, by cell containment."""
-    norm = _normalize(members)
-    kind_of(norm, "binary" if isinstance(s, str) else "family")
-    return any(s[: len(m)] == m for m in norm)
 
 
 def open_sets_disjoint(a: Iterable, b: Iterable) -> bool:
@@ -409,7 +484,7 @@ def monotonicity_check(small: Iterable, big: Iterable) -> bool:
     """True unless cell containment holds but the measures are out of order."""
     small, big = frozenset(small), frozenset(big)
     in_order = measure(small) <= measure(big)  # refuses a mixed set first
-    return in_order or not all(open_set_covers(big, s) for s in _normalize(small))
+    return in_order or not all(map(SortedPrefixFree(big, kind_of(small)).covers, _normalize(small)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +572,8 @@ class FamilyPatternSet(Set):
     """
 
     __slots__ = ("levels",)
+    kind = "family"
+    uniform_open = True  # an open cell of length L holds its volume * (1 - miss_after(L))
 
     def __init__(self, levels: Mapping[int, tuple[Sequence[int], Iterable[Sequence[int]]]]):
         checked: dict[int, tuple[tuple[int, ...], frozenset[tuple[int, ...]]]] = {}
@@ -575,6 +652,7 @@ class FamilyPatternSet(Set):
     def covers(self, prefix: FamilyPrefix) -> bool:
         """True iff some level within the prefix hits it: a member is a
         prefix of it, so its whole cell is inside."""
+        _check_cell("family", prefix)
         return any(self._hits(prefix[n - 1]) for n in self.levels if n <= len(prefix))
 
     def cell_mass(self, t: FamilyPrefix) -> Fraction:
@@ -582,6 +660,20 @@ class FamilyPatternSet(Set):
         cell's share of the levels past it."""
         volume = Fraction(1, cell_den("family", len(t)))
         return volume if self.covers(t) else volume * (1 - self.miss_after(len(t)))
+
+    def least_open(self, prefix: FamilyPrefix):
+        """An open child holds less than its volume unless a level past it
+        is full, so the least open child takes the least encoding avoiding
+        the next level's assignments (a pruned lex walk); its index is the
+        encoding's rank."""
+        width = len(prefix) + 1
+        if self.covers(prefix) or self.miss_after(width) == 0:
+            return None
+        table = least_encoding(width, *self.levels.get(width, ((), ())))
+        if table is None:
+            return None
+        t = prefix + (EncodingFunction(width, table),)
+        return t, encoding_rank(table), encf_count(width), self.cell_mass(t)
 
 
 def _refine(n: int, keys: tuple, bad: frozenset, joint: tuple) -> frozenset:

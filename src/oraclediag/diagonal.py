@@ -11,55 +11,41 @@ unknown remainder, and the derived cell approximator f with
 lexicographically least candidate that certifies strictly below the cell
 volume.
 
-A stage of members is sorted once (``SortedPrefixFree``), and both
-modes read a candidate cell's mass from it by bisection: the members in
-the cell are one range of the order, their mass a difference of two
-running sums.  A transcript records, per step, the number of
-candidates, the chosen index, the certified conditional measure, and the
-cell volume; the step invariant "trapped mass < cell volume" is what
-makes the prefix extendable forever, and `verify_escape` re-checks the
-finite claim against the raw member set by looking up the prefixes of
-the escape in it.
-
-Generic-group constraint sets are compact (``FamilyPatternSet``): a
-block at level n is "first n - 1 encodings free, the n-th hits a bad
-assignment to a few table keys".  A stage made only of such blocks stays
-compact, and both modes work on it without building a member.  Exact
-mode picks, per level, the least encoding that avoids the level's
-assignments (a pruned lex walk) and reports it by its Lehmer rank.
-Approx mode scores a candidate by whether a stage fills its cell; a
-rejected candidate rejects every candidate its first filling stage
-fills, so only the least candidate that stage leaves open is certified
-next.  The transcripts equal those of the sorted path, which any stage
-holding a plain frozenset block still takes.  Family escapes reach
-depth 4 (``PATTERN_DEPTH_CAP``); a level that must scan its candidates,
-as over member sets, asks ``all_encodings`` for them, which refuses
-width 4.
+Both modes read a stage through the open-set protocol of ``cylinder``
+(``open_view``): a member set sorted once, or a compact generic-group
+set as it is.  Exact mode takes each level's ``least_open`` child of the
+whole set.  Approx mode certifies candidates in order, and skips those a
+stage that ``uniform_open`` licenses shows rejected.  A transcript
+records, per step, the number of candidates, the chosen index, the
+certified conditional measure, and the cell volume; the step invariant
+"trapped mass < cell volume" is what makes the prefix extendable
+forever, and `verify_escape` re-checks the finite claim against the raw
+member set by looking up the prefixes of the escape in it.  Family
+escapes reach depth 4 (``PATTERN_DEPTH_CAP``); a member set lists a
+level's candidates with ``all_encodings``, which refuses width 4.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .cylinder import (
-    EncodingFunction,
     FamilyPatternSet,
-    FamilyPrefix,
     KindMismatchError,
-    SortedPrefixFree,
-    all_encodings,
-    cell_den,
     cell_mass,
     cell_volume,
-    encf_count,
-    encoding_rank,
+    child,
+    child_count,
     format_family_set,
     kind_of,
-    least_encoding,
     measure,
+    open_union,
+    open_view,
 )
 from .numbering import phi_escape
 from .schedules import Schedule
@@ -85,15 +71,15 @@ class ScheduleBoundError(ValueError):
 class EnumeratedOpenSet:
     """An r.e. open set presented by stages plus a measure approximator.
 
-    ``stages(m)`` (m >= 1) returns finite, monotonically growing cylinder
-    sets whose union is the set; ``measure_approx(k)`` returns a rational
-    within 2**-k of the true measure.
+    ``stages`` is a finite sequence of finite, monotonically growing
+    cylinder sets, stage m at index m - 1, the last of them the whole
+    set; ``measure_approx(k)`` returns a rational within 2**-k of its
+    measure.
     """
 
     kind: str  # "binary" | "family"
-    stages: Callable[[int], frozenset]
+    stages: Sequence[Collection]
     measure_approx: Callable[[int], Fraction]
-    stage_cap: int = 64
     # precision k -> _stage_for result; lives and dies with this set
     _stage_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # stage index m -> _stage_view result, sorted when the set was built
@@ -102,44 +88,30 @@ class EnumeratedOpenSet:
     def __post_init__(self) -> None:
         if self.kind not in ("binary", "family"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if not len(self.stages):
+            raise ValueError("an open set needs at least one stage")
 
     @classmethod
-    def from_finite(cls, members: Iterable, kind: str | None = None) -> "EnumeratedOpenSet":
-        """One-stage set of the members, sorted once; its approximator is exact.
-
-        A compact family set is its own stage, measured in closed form.
-        """
-        if isinstance(members, FamilyPatternSet):
-            if kind not in (None, "family"):
-                raise KindMismatchError(f"expected a {kind} set, got a family set")
-            view, kind = members, "family"
-        else:
-            members = frozenset(members)
-            if kind is None and not members:
-                raise ValueError("cannot infer the kind of an empty set")
-            view = SortedPrefixFree(members, kind)
-            kind = view.kind
+    def from_finite(cls, members: Collection, kind: str | None = None) -> "EnumeratedOpenSet":
+        """One-stage set of the members, viewed once; its approximator is exact."""
+        view = open_view(members, kind)
+        if view.kind is None:
+            raise ValueError("cannot infer the kind of an empty set")
         exact = view.measure()
-        S = cls(kind=kind, stages=lambda m: members, measure_approx=lambda k: exact, stage_cap=1)
+        S = cls(kind=view.kind, stages=(members,), measure_approx=lambda k: exact)
         S._stages[1] = view
         return S
 
 
 def conditional_measure_exact(members: Iterable, t) -> Fraction:
     """Exact mass of the open set inside the cell of t."""
-    members = frozenset(members)
-    kind_of(members, "binary" if isinstance(t, str) else "family")  # refuses mixed kinds
-    return cell_mass(members, t)
+    return cell_mass(frozenset(members), t)  # refuses mixed kinds
 
 
-def _stage_view(S: EnumeratedOpenSet, m: int) -> SortedPrefixFree | FamilyPatternSet:
-    """Stage m sorted (a finite set's when it was built), or the compact
-    stage itself, whose measure and cell masses are in closed form."""
+def _stage_view(S: EnumeratedOpenSet, m: int):
+    """Stage m's ``open_view`` (a finite set's, built with it)."""
     found = S._stages.get(m)
-    if found is None:
-        stage = S.stages(m)
-        found = stage if isinstance(stage, FamilyPatternSet) else SortedPrefixFree(stage, S.kind)
-    return found
+    return open_view(S.stages[m - 1], S.kind) if found is None else found
 
 
 def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, object, Fraction, Fraction]:
@@ -156,14 +128,14 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, object, Fraction, Fra
         return found
     g = S.measure_approx(k)
     threshold = g - Fraction(1, 2**k)
-    for m in range(1, S.stage_cap + 1):
+    for m in range(1, len(S.stages) + 1):
         view = _stage_view(S, m)
         stage_measure = view.measure()
         if stage_measure > threshold:
             found = S._stage_memo[k] = (m, view, stage_measure, g)
             return found
     raise StageCapExceeded(
-        f"no stage within {S.stage_cap} reached measure above {threshold};"
+        f"no stage within {len(S.stages)} reached measure above {threshold};"
         " the measure approximator is broken"
     )
 
@@ -223,55 +195,22 @@ def _coerce(S, kind: str) -> EnumeratedOpenSet:
     return EnumeratedOpenSet.from_finite(S, kind=kind)
 
 
-def _extend(prefix, tau):
-    return prefix + tau if isinstance(prefix, str) else prefix + (tau,)
-
-
-def _exact_escape(S: EnumeratedOpenSet, depth: int, candidates_at) -> EscapeTranscript:
-    total = _stage_view(S, S.stage_cap)
+def _exact_escape(S: EnumeratedOpenSet, depth: int) -> EscapeTranscript:
+    total = _stage_view(S, len(S.stages))
     total_measure = total.measure()
     if total_measure >= 1:
         raise MeasureTooLargeError(f"open set has measure {total_measure} >= 1")
-    if isinstance(total, FamilyPatternSet):
-        return _exact_escape_patterns(total, depth)
     prefix = "" if S.kind == "binary" else ()
     steps: list[EscapeStep] = []
-    for level in range(depth):
-        cell = Fraction(1, cell_den(S.kind, level + 1))
-        candidates = candidates_at(level)
-        for idx, tau in enumerate(candidates):
-            t = _extend(prefix, tau)
-            trapped = total.cell_mass(t)  # two bisections of the sorted stage
-            if trapped < cell:
-                break
-        else:
+    for level in range(1, depth + 1):
+        found = total.least_open(prefix)
+        if found is None:
             raise EscapeContractViolation(
-                f"no candidate at depth {level + 1} satisfies the strict inequality"
+                f"no candidate at depth {level} satisfies the strict inequality"
             )
-        prefix = t
-        steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, cell))
+        prefix, index, count, trapped = found
+        steps.append(EscapeStep(level, count, index, trapped, cell_volume(prefix)))
     return EscapeTranscript(S.kind, "exact", prefix, tuple(steps))
-
-
-def _exact_escape_patterns(total: FamilyPatternSet, depth: int) -> EscapeTranscript:
-    """Exact escape of a compact set.
-
-    A cell the level's assignments miss holds ``cell * (1 - miss_after)``,
-    below the cell since the set measures below 1, and a cell they hit is
-    full; so each level's choice is the least encoding avoiding them.
-    """
-    prefix: FamilyPrefix = ()
-    steps: list[EscapeStep] = []
-    for width in range(1, depth + 1):
-        table = least_encoding(width, *total.levels.get(width, ((), ())))
-        prefix += (EncodingFunction(width, table),)
-        cell = Fraction(1, cell_den("family", width))
-        steps.append(
-            EscapeStep(
-                width, encf_count(width), encoding_rank(table), total.cell_mass(prefix), cell
-            )
-        )
-    return EscapeTranscript("family", "exact", prefix, tuple(steps))
 
 
 def _certify(S: EnumeratedOpenSet, t, cell: Fraction, k_start: int, k_max: int, tried: list):
@@ -291,68 +230,45 @@ def _certify(S: EnumeratedOpenSet, t, cell: Fraction, k_start: int, k_max: int, 
         k = min(2 * k, k_max)
 
 
-def _approx_scan(S: EnumeratedOpenSet, prefix, candidates, k_start: int, k_max: int):
-    """Approx-mode choice at one level: certify candidates in order;
-    None if none certifies."""
-    for idx, tau in enumerate(candidates):
-        t = _extend(prefix, tau)
-        found = _certify(S, t, cell_volume(t), k_start, k_max, [])
-        if found is not None:
-            return len(candidates), idx, tau, *found
-    return None
+def _approx_choice(S: EnumeratedOpenSet, prefix, k_start: int, k_max: int):
+    """Approx-mode choice at one level: the least child of ``prefix`` that
+    certifies, as ``(cell, index, count, f, k)``; None if none does.
 
-
-def _approx_patterns(
-    S: EnumeratedOpenSet, prefix: FamilyPrefix, width: int, k_start: int, k_max: int
-):
-    """Approx-mode choice at one family level, over compact stages.
-
-    ``f(t, k)`` depends on the candidate only through whether the stage
-    for k fills its cell, and filling it only raises ``f``.  So a
-    rejected candidate's run rejects every candidate filled wherever it
-    was filled, without a stage the scan would not consult; as stages
-    grow, that is every candidate filled by the first stage that filled
-    the rejected one.  The walk therefore certifies the least candidate
-    that stage leaves open: the one the scan would certify next.
-    Returns the scan's result, ``()`` if every candidate is rejected, or
-    None when a stage it consults is not compact; the scan then decides.
+    Children are certified in order, and ``f(t, k)`` grows with the mass
+    the stage for k holds in t's cell.  When every stage a rejected t
+    consulted is ``uniform_open``, every cell holds at least t's mass in
+    those that leave t open.  So if none filled t, every child is
+    rejected; else a child that the first stage to fill t fills too is
+    filled wherever t was (the stages grow), and is rejected: the walk
+    goes on at that stage's ``least_open``.
     """
-    cell = Fraction(1, cell_den("family", width))
-    floor_index, floor = 0, None  # every candidate floor fills is rejected
+    count = child_count(prefix)
+    index, t = 0, child(prefix, 0)
+    cell = cell_volume(t)
     while True:
-        if floor is not None and (floor.covers(prefix) or floor.miss_after(width) == 0):
-            return ()  # the floor fills every candidate's cell
-        keys, bad = floor.levels.get(width, ((), ())) if floor is not None else ((), ())
-        table = least_encoding(width, keys, bad)
-        if table is None:
-            return ()
-        t = prefix + (EncodingFunction(width, table),)
         tried: list[int] = []
         found = _certify(S, t, cell, k_start, k_max, tried)
         if found is not None:
-            return encf_count(width), encoding_rank(table), t[-1], *found
-        filled = []
-        for k in tried:
-            m, stage = _stage_for(S, k)[:2]
-            if not isinstance(stage, FamilyPatternSet):
+            return t, index, count, *found
+        stages = [_stage_for(S, k)[:2] for k in tried]
+        if all(view.uniform_open for _, view in stages):
+            filled = [(m, view) for m, view in stages if view.cell_mass(t) == cell]
+            jump = min(filled, key=itemgetter(0))[1].least_open(prefix) if filled else None
+            if jump is None:
                 return None
-            if stage.cell_mass(t) == cell:
-                filled.append((m, stage))
-        if not filled:
-            return ()  # rejected while open everywhere: every candidate is
-        m, stage = min(filled, key=lambda pair: pair[0])
-        if m <= floor_index:  # floor leaves t open, so a grown stage would too
-            raise EscapeContractViolation("the stages of the open set do not grow")
-        floor_index, floor = m, stage
+            if jump[1] > index:
+                t, index = jump[:2]
+                continue
+        index += 1
+        if index == count:
+            return None
+        t = child(prefix, index)
 
 
-def _approx_escape(
-    S: EnumeratedOpenSet,
-    depth: int,
-    candidates_at,
-    k_start: int,
-    k_max: int,
-) -> EscapeTranscript:
+def _approx_escape(S: EnumeratedOpenSet, depth: int, k_start: int, k_max: int) -> EscapeTranscript:
+    for name, k in (("k_start", k_start), ("k_max", k_max)):
+        if type(k) is not int:
+            raise TypeError(f"{name} must be an int, got {k!r}")
     if k_start < 1:
         raise ValueError(f"k_start must be at least 1, got {k_start}")
     if k_max < k_start:
@@ -372,33 +288,26 @@ def _approx_escape(
         )
     prefix = "" if S.kind == "binary" else ()
     steps: list[EscapeStep] = []
-    for level in range(depth):
-        chosen = None
-        if S.kind == "family":
-            chosen = _approx_patterns(S, prefix, level + 1, k_start, k_max)
+    for level in range(1, depth + 1):
+        chosen = _approx_choice(S, prefix, k_start, k_max)
         if chosen is None:
-            chosen = _approx_scan(S, prefix, candidates_at(level), k_start, k_max)
-        if not chosen:
             raise EscapeContractViolation(
-                f"no candidate at depth {level + 1} certified below its cell volume"
+                f"no candidate at depth {level} certified below its cell volume"
             )
-        count, idx, tau, f_val, k_used = chosen
-        prefix = _extend(prefix, tau)
-        steps.append(EscapeStep(level + 1, count, idx, f_val, cell_volume(prefix), k_used))
+        prefix, index, count, f_val, k_used = chosen
+        steps.append(EscapeStep(level, count, index, f_val, cell_volume(prefix), k_used))
     return EscapeTranscript(S.kind, "approx", prefix, tuple(steps))
 
 
-def _escape(
-    S, kind: str, depth: int, mode: str, candidates_at, k_start: int, k_max: int
-) -> EscapeTranscript:
+def _escape(S, kind: str, depth: int, mode: str, k_start: int, k_max: int) -> EscapeTranscript:
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
     S = _coerce(S, kind)
     if mode == "exact":
-        return _exact_escape(S, depth, candidates_at)
-    return _approx_escape(S, depth, candidates_at, k_start, k_max)
+        return _exact_escape(S, depth)
+    return _approx_escape(S, depth, k_start, k_max)
 
 
 def escape_binary(
@@ -409,7 +318,7 @@ def escape_binary(
     k_max: int = 128,
 ) -> EscapeTranscript:
     """Prefix of the requested depth escaping a binary open set."""
-    return _escape(S, "binary", depth, mode, lambda level: ("0", "1"), k_start, k_max)
+    return _escape(S, "binary", depth, mode, k_start, k_max)
 
 
 PATTERN_DEPTH_CAP = 4
@@ -425,29 +334,23 @@ def escape_family(
     """Family prefix of the requested depth escaping a family open set.
 
     Depth is capped at ``PATTERN_DEPTH_CAP`` (4): past it, cell volumes
-    need precisions beyond the default ``k_max``.  Compact stages
-    (``FamilyPatternSet``) are searched without a scan; a level that
-    scans takes its candidates from ``all_encodings``, which refuses
-    width 4, so a member set fails there unless approx mode certifies
-    the least candidate at once.
+    need precisions beyond the default ``k_max``.  A member set lists a
+    level's candidates with ``all_encodings``, which refuses width 4, so
+    it fails there unless approx mode certifies the least candidate at
+    once; compact stages list none.
     """
     if depth > PATTERN_DEPTH_CAP:
         raise ValueError(f"family escape depth capped at {PATTERN_DEPTH_CAP}")
-    candidates_at = lambda level: all_encodings(level + 1)
-    return _escape(S, "family", depth, mode, candidates_at, k_start, k_max)
+    return _escape(S, "family", depth, mode, k_start, k_max)
 
 
 def verify_escape(prefix, members: Iterable) -> bool:
     """Independent check that no member of the set traps the prefix: none
-    of the prefix's own ``len(prefix) + 1`` prefixes is a member.
-
-    For a compact set: no level within the prefix hits it.
+    of the prefix's own ``len(prefix) + 1`` prefixes is a member.  A
+    compact set answers the lookups without building a member.
     """
-    if isinstance(members, FamilyPatternSet):
-        if isinstance(prefix, str):
-            raise KindMismatchError("expected a binary set, got a family set")
-        return not members.covers(prefix)
-    members = frozenset(members)
+    if not isinstance(members, Set):
+        members = frozenset(members)
     kind_of(members, "binary" if isinstance(prefix, str) else "family")  # refuses mixed kinds
     return not any(prefix[:i] in members for i in range(len(prefix) + 1))
 
@@ -455,6 +358,19 @@ def verify_escape(prefix, members: Iterable) -> bool:
 # ---------------------------------------------------------------------------
 # Assembling the full test family into one enumerated open set
 # ---------------------------------------------------------------------------
+
+
+class _Stages(Sequence):
+    """Stages 1, ..., count of an assembled set, each built on first use, once."""
+
+    def __init__(self, build: Callable[[int], Collection], count: int):
+        self._build, self._count = lru_cache(maxsize=None)(build), count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> Collection:
+        return self._build(range(1, self._count + 1)[index])
 
 
 def assemble_open_set(
@@ -469,12 +385,10 @@ def assemble_open_set(
 
     Block m covers the pair ``phi_escape(m) = (i, d)`` from cutoff ``g(m)`` on;
     only levels up to the horizon are built (the toy registries
-    guarantee emptiness beyond it).  A family stage whose nonempty
-    blocks are all compact is their compact union; a stage holding any
-    plain frozenset block is the frozenset of every block's members.
-    Every block at a level past ``f(i, 2d)`` must measure strictly below
-    ``1/n**d``, otherwise the schedule and the test family disagree and
-    assembly refuses.
+    guarantee emptiness beyond it).  A stage is the ``open_union`` of its
+    blocks.  Every block at a level past ``f(i, 2d)`` must measure
+    strictly below ``1/n**d``, otherwise the schedule and the test family
+    disagree and assembly refuses.
 
     The measure approximator evaluates the finite blocks prescribed for
     precision k: members with index m <= k + 1, levels below
@@ -501,23 +415,13 @@ def assemble_open_set(
             cells[key] = materialized
         return cells[key]
 
-    def union(pieces: Iterable[frozenset]) -> frozenset:
-        pieces = [piece for piece in pieces if piece]
-        if kind == "family" and all(isinstance(p, FamilyPatternSet) for p in pieces):
-            return FamilyPatternSet.union(pieces)
-        out: set = set()
-        for piece in pieces:
-            out.update(piece)
-        return frozenset(out)
-
-    @lru_cache(maxsize=None)
-    def stages(r: int) -> frozenset:
+    def stage(r: int) -> Collection:
         pieces = []
         for m in range(1, min(r, m_max) + 1):
             start = g_schedule.g(m)
             for n in range(start, min(start + r - 1, horizon) + 1):
                 pieces.append(block(m, n))
-        return union(pieces)
+        return open_union(pieces, kind)
 
     @lru_cache(maxsize=None)
     def measure_approx(k: int) -> Fraction:
@@ -527,8 +431,11 @@ def assemble_open_set(
             stop = min(start * 2 ** (k + 1) - 1, horizon)
             for n in range(start, stop + 1):
                 pieces.append(block(m, n))
-        return measure(union(pieces))
+        return measure(open_union(pieces, kind))
 
+    # every cutoff g(m) is at least 1, so by stage max(m_max, horizon)
+    # each block reaches the horizon and the stages stop growing
+    stages = _Stages(stage, max(1, m_max, horizon))
     return EnumeratedOpenSet(kind=kind, stages=stages, measure_approx=measure_approx)
 
 

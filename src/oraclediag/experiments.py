@@ -185,6 +185,8 @@ def _primes(n: int) -> tuple[int, ...]:
 
 
 def _check_arity(prog: GenericProgram, experiment: str) -> None:
+    if experiment not in ("dlog", "cdh"):
+        raise ValueError(f"unknown experiment {experiment!r}")
     arity = 2 if experiment == "dlog" else 3  # the generator and the hidden values
     if prog.n_inputs != arity:
         raise ValueError(
@@ -385,8 +387,9 @@ class AuditResult:
         }
 
 
-def shoup_audit(prog: GenericProgram, n: int, N: int, C: int) -> AuditResult:
-    """Audit the fixed-modulus experiment against the C m^2 / p ceiling.
+def shoup_audit(prog: GenericProgram, n: int, experiment: str, N: int, C: int) -> AuditResult:
+    """Audit the fixed-modulus ``experiment`` ("dlog" or "cdh") against
+    the C m^2 / p ceiling; a program of the other experiment is refused.
 
     The success probability averages over every encoding of width n, every
     hidden tuple in Z_N, and every coin tape; p is the largest prime
@@ -397,7 +400,6 @@ def shoup_audit(prog: GenericProgram, n: int, N: int, C: int) -> AuditResult:
         raise ValueError(f"need 2 <= N <= 2**n - 1, got N={N} at n={n}")
     if C < 1:
         raise ValueError(f"need C >= 1, got {C}")
-    experiment = "cdh" if prog.n_inputs == 3 else "dlog"
     plan = _instance_plan(prog, n, experiment, N)
     success, max_queries = plan.average(), plan.max_queries
     p = largest_prime_factor(N)
@@ -447,8 +449,6 @@ def bad_assignments(
     the threshold; none of them is enumerated, so only the instance
     budget applies.
     """
-    if experiment not in ("dlog", "cdh"):
-        raise ValueError(f"unknown experiment {experiment!r}")
     return _instance_plan(prog, n, experiment).crossing(threshold)
 
 
@@ -456,7 +456,7 @@ def minimal_shoup_constant(
     progs: Sequence[GenericProgram],
     cells: Sequence[tuple[int, int]],
 ) -> Fraction:
-    """Smallest C' with success <= C' m^2 / p across the audited grid.
+    """Smallest C' with dlog success <= C' m^2 / p across the audited grid.
 
     Empirical only: reported, never asserted against any theory.  Every
     audited program must make at least one query (otherwise no finite C'
@@ -469,7 +469,7 @@ def minimal_shoup_constant(
     best = Fraction(0)
     for prog in progs:
         for n, N in cells:
-            audit = shoup_audit(prog, n, N, C=1)
+            audit = shoup_audit(prog, n, "dlog", N, C=1)
             if audit.max_queries == 0:
                 raise ValueError(f"{prog.name} makes no queries at (n={n}, N={N})")
             ratio = audit.success * audit.largest_prime / audit.max_queries**2

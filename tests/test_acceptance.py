@@ -78,7 +78,7 @@ def audit_grid():
     for p in (2, 3, 5, 7):
         n = 2 if p <= 3 else 3
         for m in range(1, p):
-            grid[(p, m)] = shoup_audit(linear_search(m), n, p, C=4)
+            grid[(p, m)] = shoup_audit(linear_search(m), n, "dlog", p, C=4)
     return grid, time.time() - started
 
 

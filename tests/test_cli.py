@@ -147,6 +147,19 @@ class TestExperiments:
     def test_bad_inputs_are_usage_errors(self, argv):
         assert_usage_error(argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dlog", "--prog", "cdh_echo", "--n", "2"],
+            ["cdh", "--prog", "const_guess:0", "--n", "2"],
+        ],
+        ids=["cdh-program-in-dlog", "dlog-program-in-cdh"],
+    )
+    def test_audit_refuses_a_program_of_the_other_experiment(self, argv):
+        # the audit answers the subcommand's experiment, as the average does
+        audit = assert_usage_error([*argv, "--N", "3"])
+        assert audit.stderr == assert_usage_error(argv).stderr
+
     def test_wide_exhaustive_width_reports_the_cap(self):
         # the cap on exhaustive widths is the instance budget: 128**2 > 4096
         done = assert_usage_error(["cdh", "--prog", "cdh_echo", "--n", "8"])

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oraclediag.cylinder import (
+    FamilyPatternSet,
     all_encodings,
     cell_volume,
     family_measure,
@@ -16,6 +17,7 @@ from oraclediag.cylinder import (
 )
 from oraclediag.diagonal import (
     EnumeratedOpenSet,
+    EscapeContractViolation,
     EscapeStep,
     EscapeTranscript,
     KindMismatchError,
@@ -74,9 +76,10 @@ def staged_wrap(members, kind, rng=None):
     chunks = max(1, len(ordered))
     signs = (1, -1)
 
-    def stages(m):
-        upto = min(len(ordered), m * max(1, len(ordered) // chunks + 1))
-        return frozenset(ordered[:upto]) if ordered else frozenset()
+    stages = [
+        frozenset(ordered[: m * max(1, len(ordered) // chunks + 1)])
+        for m in range(1, len(ordered) + 3)
+    ]
 
     def approx(k):
         if rng is None:
@@ -84,9 +87,7 @@ def staged_wrap(members, kind, rng=None):
         sign = rng.choice(signs)
         return exact + sign * Fraction(1, 2 ** (k + 2))
 
-    return EnumeratedOpenSet(
-        kind=kind, stages=stages, measure_approx=approx, stage_cap=len(ordered) + 2
-    )
+    return EnumeratedOpenSet(kind=kind, stages=stages, measure_approx=approx)
 
 
 class TestConditionalExact:
@@ -127,9 +128,8 @@ class TestConditionalApprox:
     def test_empty_set_stays_near_zero(self):
         empty = EnumeratedOpenSet(
             kind="binary",
-            stages=lambda m: frozenset(),
+            stages=[frozenset()] * 2,
             measure_approx=lambda k: Fraction(0),
-            stage_cap=2,
         )
         for k in (1, 5, 12):
             value = conditional_measure_approx(empty, "01", k)
@@ -142,18 +142,23 @@ class TestConditionalApprox:
     def test_broken_approximator_trips_the_cap(self):
         liar = EnumeratedOpenSet(
             kind="binary",
-            stages=lambda m: frozenset(),
+            stages=[frozenset()] * 5,
             measure_approx=lambda k: Fraction(1, 2),  # claims mass that never appears
-            stage_cap=5,
         )
         with pytest.raises(StageCapExceeded):
             conditional_measure_approx(liar, "0", 4)
 
     def test_stage_search_is_memoized_on_the_set_only(self):
         asked = []
+
+        class Recorded(list):
+            def __getitem__(self, index):
+                asked.append(index + 1)
+                return super().__getitem__(index)
+
         half = EnumeratedOpenSet(
             kind="binary",
-            stages=lambda m: asked.append(m) or frozenset({"0"}),
+            stages=Recorded([frozenset({"0"})] * 2),
             measure_approx=lambda k: Fraction(1, 2),
         )
         values = [conditional_measure_approx(half, t, 6) for t in ("0", "1", "0")]
@@ -179,9 +184,8 @@ class TestEscapeBinary:
         transcript = escape_binary(
             EnumeratedOpenSet(
                 kind="binary",
-                stages=lambda m: frozenset(),
+                stages=(frozenset(),),
                 measure_approx=lambda k: Fraction(0),
-                stage_cap=1,
             ),
             depth=3,
         )
@@ -230,9 +234,8 @@ class TestEscapeFamily:
     def test_empty_set_picks_identities(self):
         empty = EnumeratedOpenSet(
             kind="family",
-            stages=lambda m: frozenset(),
+            stages=(frozenset(),),
             measure_approx=lambda k: Fraction(0),
-            stage_cap=1,
         )
         transcript = escape_family(empty, depth=2)
         assert transcript.prefix == (E1[0], E2[0])
@@ -303,14 +306,68 @@ def test_approx_escape_rejects_bad_precisions(escape, members, k_start, k_max):
     assert escape(members, depth=1, mode="approx").prefix  # defaults still escape
 
 
+@pytest.mark.parametrize("k_start,k_max", [(8, float("inf")), (8.0, 16), (True, 8)])
+@pytest.mark.parametrize(
+    "escape,members", [(escape_binary, {"00"}), (escape_family, {(E1[0],)})]
+)
+def test_approx_escape_rejects_precisions_that_are_not_ints(escape, members, k_start, k_max):
+    # k_max = inf once kept doubling k on the exactly full cell "00"
+    with pytest.raises(TypeError, match="must be an int"):
+        escape(members, depth=2, mode="approx", k_start=k_start, k_max=k_max)
+
+
+@st.composite
+def compact_sets(draw):
+    """One level of width 1-4 with a few bad assignments to one or two keys."""
+    n = draw(st.integers(1, 4))
+    keys = tuple(sorted(draw(st.sets(st.integers(0, (1 << n) - 1), min_size=1, max_size=2))))
+    value = st.integers(0, (1 << n) - 1)
+    assignment = st.lists(value, min_size=len(keys), max_size=len(keys), unique=True)
+    return FamilyPatternSet({n: (keys, draw(st.lists(assignment, max_size=3)))})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(st.frozensets(st.text("01", min_size=1, max_size=6), max_size=8), compact_sets()),
+    st.integers(0, 4),
+    st.integers(-4, 256),
+    st.integers(-4, 256),
+)
+def test_every_approx_escape_ends(members, depth, k_start, k_max):
+    escape = escape_family if isinstance(members, FamilyPatternSet) else escape_binary
+    try:
+        transcript = escape(members, depth=depth, mode="approx", k_start=k_start, k_max=k_max)
+    except (ValueError, EscapeContractViolation):
+        return
+    assert verify_escape(transcript.prefix, members)
+
+
+def test_each_candidate_is_certified_once(monkeypatch):
+    import oraclediag.diagonal as diagonal
+
+    seen = []
+    certify = diagonal._certify
+
+    def recording(S, t, *rest):
+        seen.append(t)
+        return certify(S, t, *rest)
+
+    monkeypatch.setattr(diagonal, "_certify", recording)
+    escape_family({(E1[0],)}, depth=1, mode="approx")
+    assert seen == [(E1[0],), (E1[1],)]  # the rejected identity, then the escape
+    # width 4 answers as long as its least candidate, built without
+    # listing the width's 16! encodings, certifies at once
+    transcript = escape_family({(E1[0],)}, depth=4, mode="approx")
+    assert [step.chosen_index for step in transcript.steps] == [1, 0, 0, 0]
+
+
 def test_stages_under_approximate_the_total():
     rng = random.Random(14)
     for _ in range(20):
         members = random_binary_set(rng)
         wrapped = staged_wrap(members, "binary")
         total = measure(members)
-        for m in range(1, wrapped.stage_cap + 1):
-            stage = wrapped.stages(m)
+        for stage in wrapped.stages:
             assert stage <= members
             assert measure(stage) <= total
 
@@ -352,7 +409,7 @@ class TestAssemble:
             kind="family",
         )
         assert empty.measure_approx(5) == 0
-        assert empty.stages(4) == frozenset()
+        assert empty.stages[-1] == frozenset()
 
     def test_single_block_stabilizes(self):
         target = frozenset({(E1[0], E2[5]), (E1[1], E2[5])})
@@ -366,7 +423,7 @@ class TestAssemble:
         expected = family_measure(target)
         for k in (0, 1, 4, 8):
             assert out.measure_approx(k) == expected
-        assert out.stages(8) == target
+        assert out.stages[-1] == target
 
     def test_schedule_bound_violation(self):
         def family(i, d, n):
@@ -378,7 +435,7 @@ class TestAssemble:
         g = Schedule.custom(unary_table={1: 2, 2: 2})
         out = assemble_open_set(family, f, m_max=2, horizon=2, g_schedule=g, kind="family")
         with pytest.raises(ScheduleBoundError):
-            out.stages(3)
+            out.stages[-1]
 
 
 class TestGgmTestfamily:
@@ -471,8 +528,7 @@ def reference_conditional_exact(members, t) -> Fraction:
 def reference_conditional_approx(S, t, k) -> Fraction:
     """Stage search and cell mass recomputed from scratch for every call."""
     g = S.measure_approx(k)
-    for m in range(1, S.stage_cap + 1):
-        stage = S.stages(m)
+    for stage in S.stages:
         if reference_measure(stage) > g - Fraction(1, 2**k):
             return g - (reference_measure(stage) - reference_conditional_exact(stage, t))
     raise AssertionError("no stage heavy enough")
@@ -511,9 +567,8 @@ def test_exact_escape_matches_fraction_buckets_binary(members, depth):
     assert got.to_text() == expected.to_text()
     raw = EnumeratedOpenSet(  # a stage that is not prefix-free as it stands
         kind="binary",
-        stages=lambda m: members,
+        stages=(members,),
         measure_approx=lambda k: reference_measure(members),
-        stage_cap=1,
     )
     assert escape_binary(raw, depth=depth) == expected
 
@@ -539,9 +594,8 @@ def test_conditional_approx_matches_renormalizing_formula(members, t, k):
     exact = reference_measure(members)
     S = EnumeratedOpenSet(
         kind="binary",
-        stages=lambda m: frozenset(ordered[: 2 * m]),
+        stages=[frozenset(ordered[: 2 * m]) for m in range(1, len(ordered) // 2 + 2)],
         measure_approx=lambda k: exact + (-1) ** k * Fraction(1, 2 ** (k + 2)),
-        stage_cap=len(ordered) // 2 + 1,
     )
     assert conditional_measure_approx(S, t, k) == reference_conditional_approx(S, t, k)
     assert conditional_measure_exact(members, t) == reference_conditional_exact(members, t)

@@ -166,7 +166,7 @@ def _sampled_sigmas(n, seed, count):
 class TestCdhValues:
     def test_echo_at_modulus_two(self):
         # outputs sigma(x); wins iff xy = x, which fails only at (1, 0)
-        audit = shoup_audit(cdh_echo(), 2, 2, C=4)
+        audit = shoup_audit(cdh_echo(), 2, "cdh", 2, C=4)
         assert audit.success == Fraction(3, 4)
 
     def test_const_guesses_partition(self):
@@ -185,29 +185,29 @@ class TestCdhValues:
 
 class TestShoupAudit:
     def test_linear_search_success_count(self):
-        audit = shoup_audit(linear_search(1), 2, 3, C=1)
+        audit = shoup_audit(linear_search(1), 2, "dlog", 3, C=1)
         assert audit.success == Fraction(2, 3)
         assert audit.max_queries == 1
         assert not audit.holds  # 2/3 > 1/3: C = 1 is too small here
 
     def test_vacuous_at_zero_queries(self):
-        audit = shoup_audit(const_guess(0), 2, 3, C=4)
+        audit = shoup_audit(const_guess(0), 2, "dlog", 3, C=4)
         assert audit.success == Fraction(1, 3)
         assert audit.bound == 0 and not audit.holds
 
     def test_composite_modulus_uses_largest_prime(self):
-        audit = shoup_audit(linear_search(1), 3, 6, C=4)
+        audit = shoup_audit(linear_search(1), 3, "dlog", 6, C=4)
         assert audit.largest_prime == 3
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            shoup_audit(linear_search(1), 2, 4, C=1)  # 4 > 2**2 - 1
+            shoup_audit(linear_search(1), 2, "dlog", 4, C=1)  # 4 > 2**2 - 1
         for C in (0, -1):
             with pytest.raises(ValueError):
-                shoup_audit(linear_search(1), 2, 3, C=C)
+                shoup_audit(linear_search(1), 2, "dlog", 3, C=C)
 
     def test_row_shape(self):
-        audit = shoup_audit(linear_search(1), 2, 3, C=4)
+        audit = shoup_audit(linear_search(1), 2, "dlog", 3, C=4)
         row = audit.row("linear_search(1)", 2, 3, 4)
         assert row["holds"] and row["m"] == 1 and row["p"] == 3
 
@@ -304,11 +304,12 @@ class TestPlanAgainstNaive:
     @pytest.mark.parametrize("prog", REGISTRY_W2, ids=lambda p: p.name)
     @pytest.mark.parametrize("N", [2, 3])
     def test_audit_width2(self, prog, N):
-        assert shoup_audit(prog, 2, N, C=1) == _naive_audit(prog, 2, N, C=1)
+        experiment = "cdh" if prog.n_inputs == 3 else "dlog"
+        assert shoup_audit(prog, 2, experiment, N, C=1) == _naive_audit(prog, 2, N, C=1)
 
     def test_audit_composite_width3(self):
         prog = cdh_const_guess("011")
-        assert shoup_audit(prog, 3, 4, C=1) == _naive_audit(prog, 3, 4, C=1)
+        assert shoup_audit(prog, 3, "cdh", 4, C=1) == _naive_audit(prog, 3, 4, C=1)
 
     @pytest.mark.parametrize("prog", [cdh_echo(), REGISTRY_W2[-1]], ids=lambda p: p.name)
     def test_sampled_matches_per_sigma_mean(self, prog):
@@ -375,8 +376,8 @@ class TestWorkCounts:
             (lambda p: dlog_success_ggm(p, 3, mode="sample", seed=1, samples=5), linear_search(2), (5, 7)),
             (lambda p: cdh_success_ggm(p, 2), cdh_echo(), (2, 3)),
             (lambda p: cdh_success_ggm(p, 3, mode="sample", seed=2, samples=5), cdh_const_guess("101"), (5, 7)),
-            (lambda p: shoup_audit(p, 3, 6, C=1), random_guess(1), (6,)),
-            (lambda p: shoup_audit(p, 3, 4, C=1), cdh_echo(), (4,)),
+            (lambda p: shoup_audit(p, 3, "dlog", 6, C=1), random_guess(1), (6,)),
+            (lambda p: shoup_audit(p, 3, "cdh", 4, C=1), cdh_echo(), (4,)),
             (lambda p: success_vector(p, 2, "dlog"), random_guess(1), (2, 3)),
             (lambda p: success_vector(p, 2, "cdh"), cdh_const_guess("11"), (2, 3)),
         ],
@@ -535,8 +536,8 @@ class TestSampledBudget:
                 with pytest.raises(InstanceBudgetExceeded):
                     call()
         for call in (
-            lambda: shoup_audit(cdh_echo(), 7, 127, C=1),  # 127**2 instances
-            lambda: shoup_audit(random_guess(10), 3, 5, C=1),  # 5 * 2**10
+            lambda: shoup_audit(cdh_echo(), 7, "cdh", 127, C=1),  # 127**2 instances
+            lambda: shoup_audit(random_guess(10), 3, "dlog", 5, C=1),  # 5 * 2**10
             lambda: minimal_shoup_constant([linear_search(1)], [(13, 4099)]),
             lambda: build_ggm_testfamily(const_guess(0), 2, 14),
             lambda: build_ggm_testfamily(cdh_echo(), 2, 8, experiment="cdh"),
@@ -564,9 +565,9 @@ class TestSampledBudget:
             assert dlog_success_ggm(const_guess(0), 5, mode=mode, seed=1).success == expected
             with pytest.raises(InstanceBudgetExceeded, match="width 6 needs at least 32"):
                 dlog_success_ggm(const_guess(0), 6, mode=mode, seed=1)
-        assert shoup_audit(const_guess(0), 5, 16, C=1).success == Fraction(1, 16)
+        assert shoup_audit(const_guess(0), 5, "dlog", 16, C=1).success == Fraction(1, 16)
         with pytest.raises(InstanceBudgetExceeded):
-            shoup_audit(const_guess(0), 5, 17, C=1)
+            shoup_audit(const_guess(0), 5, "dlog", 17, C=1)
 
 
 # ---------------------------------------------------------------------------
@@ -596,5 +597,5 @@ def test_exhaustive_average_past_width_three(n, name):
 @pytest.mark.parametrize("n,N", [(4, 13), (5, 17), (6, 61), (7, 127), (8, 251)])
 def test_audit_past_width_three(n, N, name):
     prog, at = CLOSED_FORMS[name]
-    audit = shoup_audit(prog, n, N, C=1)
+    audit = shoup_audit(prog, n, "dlog", N, C=1)
     assert audit.success == at(N) and audit.largest_prime == N

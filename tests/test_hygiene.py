@@ -41,6 +41,43 @@ def test_no_module_imports_a_name_it_never_reads():
     assert not found, sorted(found)
 
 
+REPRESENTATIONS = {"FamilyPatternSet", "SortedPrefixFree"}
+
+
+def representation_checks(source: str) -> list[str]:
+    """Every ``isinstance`` call whose classes name a set representation."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func) == "isinstance"
+        and any(
+            getattr(name, "id", getattr(name, "attr", None)) in REPRESENTATIONS
+            for classes in node.args[1:]
+            for name in ast.walk(classes)
+        )
+    ]
+
+
+def test_the_scan_sees_a_representation_check():
+    source = (
+        "isinstance(s, FamilyPatternSet)\n"
+        "isinstance(s, (frozenset, cylinder.SortedPrefixFree))\n"
+        "isinstance(s, str)\n"
+        "FamilyPatternSet(levels)\n"
+    )
+    assert representation_checks(source) == [
+        "isinstance(s, FamilyPatternSet)",
+        "isinstance(s, (frozenset, cylinder.SortedPrefixFree))",
+    ]
+
+
+def test_escapes_never_ask_how_a_set_is_stored():
+    # diagonal reads every set through the open-set protocol of cylinder
+    source = (ROOT / "src" / "oraclediag" / "diagonal.py").read_text(encoding="utf-8")
+    assert not representation_checks(source)
+
+
 # ---------------------------------------------------------------------------
 # Names the benchmark looks up in the package
 # ---------------------------------------------------------------------------

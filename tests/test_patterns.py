@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from oraclediag.cylinder import (
     FamilyPatternSet,
+    SortedPrefixFree,
     all_bit_strings,
     all_encodings,
     cell_mass,
@@ -145,7 +146,7 @@ def test_members_measure_and_cell_mass(pieces, probes):
     assert len(union) == len(members) == len(list(union))
     assert measure(union) == measure(members)
     for t in probes:
-        assert cell_mass(union, t) == cell_mass(members, t)
+        assert union.cell_mass(t) == cell_mass(members, t)
         assert (t in union) == (t in members)
         assert verify_escape(t, union) == verify_escape(t, members)
 
@@ -182,6 +183,24 @@ def test_bad_assignments_complete_to_encodings_above():
         assert list(bad) == sorted(bad)
 
 
+@pytest.mark.parametrize(
+    "view,cell",
+    [
+        (FamilyPatternSet({2: ((0,), [(0,)])}), "0"),
+        (SortedPrefixFree({"0"}), E[:1]),
+        (SortedPrefixFree({E[:1]}), "0"),
+    ],
+    ids=["compact", "sorted-binary", "sorted-family"],
+)
+def test_a_view_refuses_a_cell_of_the_other_kind(view, cell):
+    calls = [view.cell_mass, view.covers, view.least_open]
+    if isinstance(view, FamilyPatternSet):
+        calls += [lambda t: cell_mass(view, t), lambda t: verify_escape(t, view)]
+    for call in calls:
+        with pytest.raises(KindMismatchError):
+            call(cell)
+
+
 def test_refuses_malformed_levels():
     with pytest.raises(ValueError):
         FamilyPatternSet({2: ((1, 0), [(0, 1)])})  # keys out of order
@@ -211,10 +230,7 @@ def staged_pair(blocks, offsets):
 
     def build(view):
         return EnumeratedOpenSet(
-            kind="family",
-            stages=lambda m: view(stages[min(m, len(stages)) - 1]),
-            measure_approx=approx,
-            stage_cap=len(stages),
+            kind="family", stages=list(map(view, stages)), measure_approx=approx
         )
 
     return build(lambda s: s), build(frozenset)
@@ -285,11 +301,11 @@ def test_assembled_pin_tables_match_member_sets(tables, cutoffs, f_cutoff, preci
         got = outcome(lambda: compact.measure_approx(k))
         assert got == outcome(lambda: members.measure_approx(k))
     for r in (1, 2, 3):
-        stage = outcome(lambda: compact.stages(r))
-        assert stage == outcome(lambda: members.stages(r))
+        stage = outcome(lambda: compact.stages[r - 1])
+        assert stage == outcome(lambda: members.stages[r - 1])
         if isinstance(stage, FamilyPatternSet):
             for t in ((), E[:1], E[:2], E[:3]):
-                assert cell_mass(stage, t) == cell_mass(members.stages(r), t)
+                assert stage.cell_mass(t) == cell_mass(members.stages[r - 1], t)
     for depth in (1, 3):
         for mode in ("exact", "approx"):
             got = text_of(lambda: escape_family(compact, depth, mode, *precisions))
@@ -358,7 +374,7 @@ def test_bound_violations_match_member_sets():
         assemble_open_set(fam, f, m_max=1, horizon=2, g_schedule=g, kind="family")
         for fam in (family, lambda i, d, n: frozenset(family(i, d, n)))
     )
-    calls = (lambda S: S.measure_approx(2), lambda S: S.stages(1), lambda S: escape_family(S, 2))
+    calls = (lambda S: S.measure_approx(2), lambda S: S.stages[0], lambda S: escape_family(S, 2))
     for call in calls:
         got = outcome(lambda: call(compact))
         assert got[0] == "ScheduleBoundError"

@@ -96,8 +96,7 @@ def rescanning_approx_escape(S, depth: int, k_start: int, k_max: int) -> EscapeT
 
     def conditional(t, k):
         g = S.measure_approx(k)
-        for m in range(1, S.stage_cap + 1):
-            stage = S.stages(m)
+        for stage in S.stages:
             if scan_measure(stage) > g - Fraction(1, 2**k):
                 return g - (scan_measure(stage) - scan_cell_mass(stage, t))
         raise AssertionError("no stage heavy enough")
@@ -175,9 +174,8 @@ def staged(members, kind: str) -> EnumeratedOpenSet:
     exact = scan_measure(members)
     return EnumeratedOpenSet(
         kind=kind,
-        stages=lambda m: frozenset(ordered[: 2 * m]),
+        stages=[frozenset(ordered[: 2 * m]) for m in range(1, len(ordered) // 2 + 2)],
         measure_approx=lambda k: exact + (-1) ** k * Fraction(1, 2 ** (k + 2)),
-        stage_cap=len(ordered) // 2 + 1,
     )
 
 
