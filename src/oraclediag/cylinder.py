@@ -37,6 +37,7 @@ Escapes read a finite set through one protocol, which both
 :class:`SortedPrefixFree` and :class:`FamilyPatternSet` implement:
 
 * ``kind``, ``"binary"`` or ``"family"``;
+* ``den``, the cell count of its longest member: masses are multiples of ``1/den``;
 * ``measure()``;
 * ``cell_mass(t)``, the set's mass inside the cell of ``t``;
 * ``covers(t)``, true iff a member is a prefix of ``t``;
@@ -375,17 +376,18 @@ class SortedPrefixFree:
         return Fraction(self.cum[bisect_left(self.keys, high, lo)] - self.cum[lo], self.den)
 
     def least_open(self, prefix):
-        """A scan of the children in order, two bisections each.  It lists
-        them first, so ``all_encodings`` refuses a family width past its
-        cap whichever child is open."""
-        binary = isinstance(prefix, str)
-        steps = "01" if binary else all_encodings(len(prefix) + 1)
+        """A scan of the children in order, two bisections each.  A full
+        child of an uncovered prefix holds a member, so at most
+        ``len(keys) + 1`` children are built."""
+        if self.covers(prefix):
+            return None
         cell = Fraction(1, cell_den(self.kind, len(prefix) + 1))
-        for index, step in enumerate(steps):
-            t = prefix + step if binary else prefix + (step,)
+        count = child_count(prefix)
+        for index in range(count):
+            t = child(prefix, index)
             mass = self.cell_mass(t)
             if mass < cell:
-                return t, index, len(steps), mass
+                return t, index, count, mass
         return None
 
 
@@ -397,15 +399,12 @@ def _check_cell(kind: str | None, t) -> None:
 
 def child(prefix, index: int):
     """The cell of the ``index``-th child of ``prefix`` in escape order:
-    ``prefix`` and a bit, or ``prefix`` and an encoding of the next width
-    in table order.  Child 0 of a family prefix, the identity, is built
-    without listing the width's encodings."""
+    ``prefix`` and a bit, or ``prefix`` and the encoding of the next width
+    of rank ``index``."""
     if isinstance(prefix, str):
         return prefix + "01"[index]
     width = len(prefix) + 1
-    if index == 0:
-        return prefix + (EncodingFunction(width, tuple(range(1 << width))),)
-    return prefix + (all_encodings(width)[index],)
+    return prefix + (EncodingFunction(width, encoding_unrank(width, index)),)
 
 
 def child_count(prefix) -> int:
@@ -502,6 +501,19 @@ def encoding_rank(table: Sequence[int]) -> int:
         rank = rank * len(rest) + i
         del rest[i]
     return rank
+
+
+def encoding_unrank(width: int, rank: int) -> tuple[int, ...]:
+    """The table of ``width`` at index ``rank`` in lexicographic order, the
+    inverse of :func:`encoding_rank`: its factorial-base digits pick each
+    entry from the values left (Knuth, TAOCP Vol. 4A, 7.2.1.2)."""
+    if not 0 <= rank < encf_count(width):
+        raise IndexError(f"no encoding of width {width} has rank {rank}")
+    rest, digits = list(range(1 << width)), []
+    for radix in range(1, len(rest) + 1):
+        rank, digit = divmod(rank, radix)
+        digits.append(digit)
+    return tuple(rest.pop(digit) for digit in reversed(digits))
 
 
 def pattern_encodings(
@@ -645,6 +657,10 @@ class FamilyPatternSet(Set):
             ),
             start=ONE,
         )
+
+    @property
+    def den(self) -> int:
+        return cell_den("family", max(self.levels, default=0))
 
     def measure(self) -> Fraction:
         return 1 - self.miss_after(0)

@@ -15,14 +15,16 @@ Both modes read a stage through the open-set protocol of ``cylinder``
 (``open_view``): a member set sorted once, or a compact generic-group
 set as it is.  Exact mode takes each level's ``least_open`` child of the
 whole set.  Approx mode certifies candidates in order, and skips those a
-stage that ``uniform_open`` licenses shows rejected.  A transcript
-records, per step, the number of candidates, the chosen index, the
-certified conditional measure, and the cell volume; the step invariant
-"trapped mass < cell volume" is what makes the prefix extendable
-forever, and `verify_escape` re-checks the finite claim against the raw
-member set by looking up the prefixes of the escape in it.  Family
-escapes reach depth 4 (``PATTERN_DEPTH_CAP``); a member set lists a
-level's candidates with ``all_encodings``, which refuses width 4.
+stage that ``uniform_open`` licenses shows rejected; it doubles k up to
+a ceiling derived from the set and the depth, where only full cells are
+undecided, so both modes choose alike.  A transcript records, per step,
+the number of candidates, the chosen index, the certified conditional
+measure, and the cell volume; the step invariant "trapped mass < cell
+volume" is what makes the prefix extendable forever, and
+`verify_escape` re-checks the finite claim against the raw member set
+by looking up the prefixes of the escape in it.  Children are built
+from their ranks, so family escapes reach depth 9 (``FAMILY_DEPTH_CAP``)
+without listing encodings.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from typing import Callable, Iterable
 from .cylinder import (
     FamilyPatternSet,
     KindMismatchError,
+    cell_den,
     cell_mass,
     cell_volume,
     child,
@@ -213,24 +216,27 @@ def _exact_escape(S: EnumeratedOpenSet, depth: int) -> EscapeTranscript:
     return EscapeTranscript(S.kind, "exact", prefix, tuple(steps))
 
 
-def _certify(S: EnumeratedOpenSet, t, cell: Fraction, k_start: int, k_max: int, tried: list):
+K_START = 8  # the first precision tried; each retry doubles it
+
+
+def _certify(S: EnumeratedOpenSet, t, cell: Fraction, ceiling: int, tried: list):
     """``(f, k)`` once precision k certifies ``f(t, k) + 2**-k < cell``;
-    None once one certifies ``f - 2**-k >= cell`` or ``k_max`` leaves it
-    undecided, which rejects it like exact mode would.  Every precision
-    used is appended to ``tried``."""
-    k = k_start
+    None once one certifies ``f - 2**-k >= cell`` or a k of at least
+    ``ceiling`` leaves it undecided, as only a full cell is: exact mode
+    rejects it too.  Every precision used is appended to ``tried``."""
+    k = K_START
     while True:
         tried.append(k)
         eps = Fraction(1, 2**k)
         f_val = conditional_measure_approx(S, t, k)
         if f_val + eps < cell:
             return f_val, k
-        if f_val - eps >= cell or k >= k_max:
+        if f_val - eps >= cell or k >= ceiling:
             return None
-        k = min(2 * k, k_max)
+        k *= 2
 
 
-def _approx_choice(S: EnumeratedOpenSet, prefix, k_start: int, k_max: int):
+def _approx_choice(S: EnumeratedOpenSet, prefix, ceiling: int):
     """Approx-mode choice at one level: the least child of ``prefix`` that
     certifies, as ``(cell, index, count, f, k)``; None if none does.
 
@@ -247,7 +253,7 @@ def _approx_choice(S: EnumeratedOpenSet, prefix, k_start: int, k_max: int):
     cell = cell_volume(t)
     while True:
         tried: list[int] = []
-        found = _certify(S, t, cell, k_start, k_max, tried)
+        found = _certify(S, t, cell, ceiling, tried)
         if found is not None:
             return t, index, count, *found
         stages = [_stage_for(S, k)[:2] for k in tried]
@@ -265,31 +271,23 @@ def _approx_choice(S: EnumeratedOpenSet, prefix, k_start: int, k_max: int):
         t = child(prefix, index)
 
 
-def _approx_escape(S: EnumeratedOpenSet, depth: int, k_start: int, k_max: int) -> EscapeTranscript:
-    for name, k in (("k_start", k_start), ("k_max", k_max)):
-        if type(k) is not int:
-            raise TypeError(f"{name} must be an int, got {k!r}")
-    if k_start < 1:
-        raise ValueError(f"k_start must be at least 1, got {k_start}")
-    if k_max < k_start:
-        raise ValueError(f"k_max {k_max} is below k_start {k_start}")
+def _approx_escape(S: EnumeratedOpenSet, depth: int) -> EscapeTranscript:
+    # Every mass compared is a multiple of 1/D, and |F - f| < 2**-k; once
+    # 2**(1-k) < 1/D, a cell certifies iff it is not full, and the measure
+    # is certified below 1 iff it is.
+    D = max(_stage_view(S, len(S.stages)).den, cell_den(S.kind, depth))
+    ceiling = D.bit_length() + 1
     # Trust the approximator for the precondition: some k must witness
     # a total measure strictly below 1.
-    witnessed = False
-    k = k_start
-    while k <= k_max:
-        if S.measure_approx(k) < 1 - Fraction(1, 2**k):
-            witnessed = True
-            break
+    k = K_START
+    while S.measure_approx(k) >= 1 - Fraction(1, 2**k):
+        if k >= ceiling:
+            raise MeasureTooLargeError("measure approximator never certified < 1")
         k *= 2
-    if not witnessed:
-        raise MeasureTooLargeError(
-            f"measure approximator never certified < 1 up to precision {k_max}"
-        )
     prefix = "" if S.kind == "binary" else ()
     steps: list[EscapeStep] = []
     for level in range(1, depth + 1):
-        chosen = _approx_choice(S, prefix, k_start, k_max)
+        chosen = _approx_choice(S, prefix, ceiling)
         if chosen is None:
             raise EscapeContractViolation(
                 f"no candidate at depth {level} certified below its cell volume"
@@ -299,7 +297,7 @@ def _approx_escape(S: EnumeratedOpenSet, depth: int, k_start: int, k_max: int) -
     return EscapeTranscript(S.kind, "approx", prefix, tuple(steps))
 
 
-def _escape(S, kind: str, depth: int, mode: str, k_start: int, k_max: int) -> EscapeTranscript:
+def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     if mode not in ("exact", "approx"):
@@ -307,41 +305,29 @@ def _escape(S, kind: str, depth: int, mode: str, k_start: int, k_max: int) -> Es
     S = _coerce(S, kind)
     if mode == "exact":
         return _exact_escape(S, depth)
-    return _approx_escape(S, depth, k_start, k_max)
+    return _approx_escape(S, depth)
 
 
-def escape_binary(
-    S,
-    depth: int,
-    mode: str = "exact",
-    k_start: int = 8,
-    k_max: int = 128,
-) -> EscapeTranscript:
+def escape_binary(S, depth: int, mode: str = "exact") -> EscapeTranscript:
     """Prefix of the requested depth escaping a binary open set."""
-    return _escape(S, "binary", depth, mode, k_start, k_max)
+    return _escape(S, "binary", depth, mode)
 
 
-PATTERN_DEPTH_CAP = 4
+# a depth-10 family cell volume has a 4,673-digit denominator, past the
+# 4,300 digits Python turns into text by default; depth 9 answers in ms
+FAMILY_DEPTH_CAP = 9
 
 
-def escape_family(
-    S,
-    depth: int,
-    mode: str = "exact",
-    k_start: int = 8,
-    k_max: int = 128,
-) -> EscapeTranscript:
+def escape_family(S, depth: int, mode: str = "exact") -> EscapeTranscript:
     """Family prefix of the requested depth escaping a family open set.
 
-    Depth is capped at ``PATTERN_DEPTH_CAP`` (4): past it, cell volumes
-    need precisions beyond the default ``k_max``.  A member set lists a
-    level's candidates with ``all_encodings``, which refuses width 4, so
-    it fails there unless approx mode certifies the least candidate at
-    once; compact stages list none.
+    Depth is capped at ``FAMILY_DEPTH_CAP`` (9), where a transcript can
+    still be written out.  Each level builds only the children it tries,
+    from their ranks.
     """
-    if depth > PATTERN_DEPTH_CAP:
-        raise ValueError(f"family escape depth capped at {PATTERN_DEPTH_CAP}")
-    return _escape(S, "family", depth, mode, k_start, k_max)
+    if depth > FAMILY_DEPTH_CAP:
+        raise ValueError(f"family escape depth capped at {FAMILY_DEPTH_CAP}")
+    return _escape(S, "family", depth, mode)
 
 
 def verify_escape(prefix, members: Iterable) -> bool:

@@ -17,9 +17,9 @@ set is provably finite.
 Constraint blocks are compact (``FamilyPatternSet``): the few bad
 assignments to the table entries a program reads, never the member
 prefixes, which the ``members=`` counts of a report only count.  So the
-horizon and the escape depth reach 4 (``PATTERN_DEPTH_CAP``), where the
-width-4 blocks of the toy registry are empty and the escape's last step
-chooses among 16! encodings without a scan.  Widths past 4 are refused.
+escape depth reaches 9 (``FAMILY_DEPTH_CAP``), choosing among up to 512!
+encodings per level without a scan, and the horizon reaches the widths
+the instance budget of the blocks' plans admits.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable
 
 from .cylinder import FamilyPrefix, all_bit_strings
 from .diagonal import (
-    PATTERN_DEPTH_CAP,
     EnumeratedOpenSet,
     EscapeTranscript,
     assemble_open_set,
@@ -81,11 +80,8 @@ def registry_testfamily(
 
     Unregistered indices and levels beyond the horizon are empty; the
     per-(i, d, n) sets are cached because the assembly and its measure
-    approximator revisit them.  Horizons past ``PATTERN_DEPTH_CAP`` are
-    refused.
+    approximator revisit them.
     """
-    if horizon > PATTERN_DEPTH_CAP:
-        raise ValueError(f"horizon {horizon} is past the cap {PATTERN_DEPTH_CAP}")
 
     @lru_cache(maxsize=None)
     def family(i: int, d: int, n: int) -> frozenset:
@@ -147,7 +143,8 @@ def run_pipeline(
 
     ``schedule`` is "paper" (the derived escape schedule over the closed
     form with constant C) or "compressed" (the custom toy tables).
-    ``horizon`` and ``depth`` go up to ``PATTERN_DEPTH_CAP``.
+    ``depth`` goes up to ``FAMILY_DEPTH_CAP``; a block past the width the
+    instance budget admits refuses the ``horizon``.
     """
     registry = toy_registry(horizon)
     testfamily = registry_testfamily(registry, horizon)

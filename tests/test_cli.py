@@ -283,6 +283,42 @@ class TestDiagonalize:
         assert code == 0
         assert "empty" in out
 
+    @pytest.mark.parametrize("depth", [128, 300])
+    def test_deep_approx_escape(self, tmp_path, capsys, depth):
+        path = tmp_path / "set.txt"
+        path.write_text("1\n")
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, "diagonalize", str(path), "--depth", str(depth),
+                               "--mode", "approx")
+        assert time.perf_counter() - started < 1
+        assert code == 0  # verified
+        assert f"prefix {'0' * depth}\n" in out
+
+    def test_family_member_set_at_width_four(self, tmp_path, capsys):
+        path = tmp_path / "set.txt"
+        path.write_text("1,0\n")
+        prefixes = []
+        for mode in ("exact", "approx"):
+            code, out, _ = run_cli(capsys, "diagonalize", str(path), "--kind", "family",
+                                   "--depth", "4", "--mode", mode)
+            assert code == 0
+            prefixes.append(next(line for line in out.splitlines() if line.startswith("prefix")))
+        assert prefixes[0] == prefixes[1] == "prefix 0,1 0,1,2,3 0,1,2,3,4,5,6,7 " + ",".join(
+            map(str, range(16))
+        )
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_toy_pipeline_at_the_depth_cap(self, capsys, mode):
+        argv = ["diagonalize", "--toy-pipeline", "--schedule", "compressed", "--mode", mode]
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv, "--depth", "9")
+        assert time.perf_counter() - started < 1
+        assert code == 0
+        assert "escape verified True" in out and "step 9 " in out
+        code, _, err = run_cli(capsys, *argv, "--depth", "10")
+        assert code == 2
+        assert err == "error: family escape depth capped at 9\n"
+
 
 class TestScheduleAndBounds:
     def test_schedule_values(self, capsys):
@@ -377,7 +413,7 @@ def cli_argvs(draw):
     if command == "diagonalize":
         argv = [command, "--toy-pipeline", "--mode", draw(st.sampled_from(["exact", "approx"]))]
         argv += ["--schedule", draw(st.sampled_from(["paper", "compressed"]))]
-        return argv + _flags(draw, {"--depth": (-2, 3), "--C": (-2, 3)})
+        return argv + _flags(draw, {"--depth": (-2, 10), "--C": (-2, 3)})
     if command == "schedule":
         return [command] + _flags(draw, {"--k": (-2, 4), "--d": (-2, 4), "--m": (-2, 3),
                                          "--C": (-2, 3)})
@@ -417,7 +453,7 @@ def set_file_runs(draw):
     argv = [draw(st.sampled_from(["measure", "diagonalize"])), "{set}", "--kind", kind]
     if argv[0] == "diagonalize":
         argv += ["--mode", draw(st.sampled_from(["exact", "approx"]))]
-        argv += _flags(draw, {"--depth": (-2, 4)})
+        argv += _flags(draw, {"--depth": (-2, 300) if kind == "binary" else (-2, 6)})
     return argv, text
 
 

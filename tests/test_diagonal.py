@@ -16,8 +16,8 @@ from oraclediag.cylinder import (
     measure,
 )
 from oraclediag.diagonal import (
+    FAMILY_DEPTH_CAP,
     EnumeratedOpenSet,
-    EscapeContractViolation,
     EscapeStep,
     EscapeTranscript,
     KindMismatchError,
@@ -241,8 +241,10 @@ class TestEscapeFamily:
         assert transcript.prefix == (E1[0], E2[0])
 
     def test_depth_cap(self):
-        with pytest.raises(ValueError):
-            escape_family({(E1[0],)}, depth=4)
+        with pytest.raises(ValueError, match="capped at 9"):
+            escape_family({(E1[0],)}, depth=10)
+        for mode in ("exact", "approx"):  # width 4 is built from ranks, not listed
+            assert escape_family({(E1[0],)}, depth=4, mode=mode).prefix[0] == E1[1]
 
     def test_random_instances_verify(self):
         rng = random.Random(6)
@@ -301,19 +303,10 @@ def test_escape_is_deterministic():
     "escape,members", [(escape_binary, {"00"}), (escape_family, {(E1[0],)})]
 )
 def test_approx_escape_rejects_bad_precisions(escape, members, k_start, k_max):
-    with pytest.raises(ValueError, match="k_start"):
+    # an escape derives its precisions from the set: it takes none
+    with pytest.raises(TypeError, match="unexpected keyword"):
         escape(members, depth=1, mode="approx", k_start=k_start, k_max=k_max)
-    assert escape(members, depth=1, mode="approx").prefix  # defaults still escape
-
-
-@pytest.mark.parametrize("k_start,k_max", [(8, float("inf")), (8.0, 16), (True, 8)])
-@pytest.mark.parametrize(
-    "escape,members", [(escape_binary, {"00"}), (escape_family, {(E1[0],)})]
-)
-def test_approx_escape_rejects_precisions_that_are_not_ints(escape, members, k_start, k_max):
-    # k_max = inf once kept doubling k on the exactly full cell "00"
-    with pytest.raises(TypeError, match="must be an int"):
-        escape(members, depth=2, mode="approx", k_start=k_start, k_max=k_max)
+    assert escape(members, depth=1, mode="approx").prefix
 
 
 @st.composite
@@ -328,17 +321,20 @@ def compact_sets(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.one_of(st.frozensets(st.text("01", min_size=1, max_size=6), max_size=8), compact_sets()),
-    st.integers(0, 4),
-    st.integers(-4, 256),
-    st.integers(-4, 256),
+    st.one_of(
+        st.tuples(st.frozensets(st.text("01", min_size=1, max_size=6), max_size=8),
+                  st.integers(0, 300)),
+        st.tuples(compact_sets(), st.integers(0, FAMILY_DEPTH_CAP)),
+    )
 )
-def test_every_approx_escape_ends(members, depth, k_start, k_max):
+def test_every_approx_escape_ends(run):
+    members, depth = run
     escape = escape_family if isinstance(members, FamilyPatternSet) else escape_binary
     try:
-        transcript = escape(members, depth=depth, mode="approx", k_start=k_start, k_max=k_max)
-    except (ValueError, EscapeContractViolation):
+        transcript = escape(members, depth=depth, mode="approx")
+    except MeasureTooLargeError:
         return
+    assert len(transcript.steps) == depth
     assert verify_escape(transcript.prefix, members)
 
 

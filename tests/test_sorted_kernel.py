@@ -13,12 +13,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oraclediag import cylinder
 from oraclediag.cylinder import (
+    EncodingFunction,
     KindMismatchError,
     SortedPrefixFree,
     _normalize,
     all_encodings,
     cell_volume,
+    child,
+    encoding_unrank,
     measure,
     normalize_prefix_free,
 )
@@ -90,9 +94,12 @@ def first_candidate_escape(members, depth: int, kind: str) -> EscapeTranscript:
     return EscapeTranscript(kind, "exact", prefix, tuple(steps))
 
 
-def rescanning_approx_escape(S, depth: int, k_start: int, k_max: int) -> EscapeTranscript:
-    """Approx escape that searches the stages and rescans the stage found
-    for every candidate and every k."""
+def rescanning_approx_escape(S, depth: int) -> EscapeTranscript:
+    """Binary approx escape that searches the stages and rescans the stage
+    found for every candidate and every k = 8, 16, ...  Every mass it
+    compares is a multiple of 2**-top, for ``top`` the longest member or
+    the depth, so a k past top + 1 decides every cell but a full one."""
+    top = max(depth, max(map(len, S.stages[-1]), default=0))
 
     def conditional(t, k):
         g = S.measure_approx(k)
@@ -101,9 +108,9 @@ def rescanning_approx_escape(S, depth: int, k_start: int, k_max: int) -> EscapeT
                 return g - (scan_measure(stage) - scan_cell_mass(stage, t))
         raise AssertionError("no stage heavy enough")
 
-    k = k_start
+    k = 8
     while S.measure_approx(k) >= 1 - Fraction(1, 2**k):
-        if 2 * k > k_max:
+        if k > top + 1:
             raise MeasureTooLargeError("never certified below 1")
         k *= 2
     prefix = "" if S.kind == "binary" else ()
@@ -111,13 +118,13 @@ def rescanning_approx_escape(S, depth: int, k_start: int, k_max: int) -> EscapeT
     for level in range(depth):
         options = candidates(S.kind, level)
         for idx, tau in enumerate(options):
-            t, k = extend(prefix, tau), k_start
+            t, k = extend(prefix, tau), 8
             cell = cell_volume(t)
             while True:
                 f, eps = conditional(t, k), Fraction(1, 2**k)
-                if f + eps < cell or f - eps >= cell or k >= k_max:
+                if f + eps < cell or f - eps >= cell or k > top + 1:
                     break
-                k = min(2 * k, k_max)
+                k *= 2
             if f + eps < cell:
                 break
         else:
@@ -218,6 +225,30 @@ def test_sorted_cell_mass_matches_a_scan_family(members, ts):
         assert view.cell_mass(t) == scan_cell_mass(members, t)
 
 
+@pytest.mark.parametrize(
+    "members,prefix",
+    [({"0"}, "0"), ({"0"}, "011"), ({(E1[0], E2[3])}, (E1[0], E2[3], E3[5]))],
+    ids=["binary-member", "binary-extension", "family-width-4-children"],
+)
+def test_least_open_of_a_covered_prefix_tries_no_child(members, prefix, monkeypatch):
+    def refuse(prefix, index):
+        raise AssertionError("built a child of a covered prefix")
+
+    monkeypatch.setattr(cylinder, "child", refuse)
+    assert SortedPrefixFree(members).least_open(prefix) is None
+
+
+def test_least_open_builds_a_child_per_full_one_and_one_more(monkeypatch):
+    """Three members fill the first three of 16! width-4 children."""
+    prefix = (E1[0], E2[0], E3[0])
+    members = {prefix + (EncodingFunction(4, encoding_unrank(4, i)),) for i in range(3)}
+    built = []
+    monkeypatch.setattr(cylinder, "child", lambda p, i: built.append(i) or child(p, i))
+    t, index, count, mass = SortedPrefixFree(members).least_open(prefix)
+    assert (index, count, mass, built) == (3, 20922789888000, 0, [0, 1, 2, 3])
+    assert t == child(prefix, 3)
+
+
 @settings(max_examples=150)
 @given(bit_sets(), st.integers(0, 16))
 def test_exact_escape_matches_the_first_candidate_reference(members, depth):
@@ -236,18 +267,17 @@ def test_exact_family_escape_matches_the_first_candidate_reference(members, dept
     assert escape_family(members, depth=depth) == expected
 
 
-@pytest.mark.parametrize("k_start,k_max", [(1, 8), (1, 128), (8, 8), (8, 128)])
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(members=bit_sets(), depth=st.integers(0, 16))
-def test_approx_escape_matches_the_rescanning_escape(members, depth, k_start, k_max):
+def test_approx_escape_matches_the_rescanning_escape(members, depth):
     for S in (EnumeratedOpenSet.from_finite(members, "binary"), staged(members, "binary")):
         try:
-            expected = rescanning_approx_escape(S, depth, k_start, k_max)
+            expected = rescanning_approx_escape(S, depth)
         except (EscapeContractViolation, MeasureTooLargeError) as exc:
             with pytest.raises(type(exc)):
-                escape_binary(S, depth=depth, mode="approx", k_start=k_start, k_max=k_max)
+                escape_binary(S, depth=depth, mode="approx")
             continue
-        got = escape_binary(S, depth=depth, mode="approx", k_start=k_start, k_max=k_max)
+        got = escape_binary(S, depth=depth, mode="approx")
         assert got == expected
         assert got.to_text() == expected.to_text()
 
