@@ -267,9 +267,12 @@ def test_exact_family_escape_matches_the_first_candidate_reference(members, dept
     assert escape_family(members, depth=depth) == expected
 
 
-@settings(max_examples=100, deadline=None)
-@given(members=bit_sets(), depth=st.integers(0, 16))
-def test_approx_escape_matches_the_rescanning_escape(members, depth):
+@pytest.mark.parametrize("depth_lo,depth_hi", [(1, 8), (1, 128), (8, 8), (8, 128)])
+@settings(max_examples=40, deadline=None)
+@given(members=bit_sets(), data=st.data())
+def test_approx_escape_matches_the_rescanning_escape(members, data, depth_lo, depth_hi):
+    """Depths past 127 need a precision past the old fixed k_max = 128."""
+    depth = data.draw(st.integers(depth_lo, depth_hi), label="depth")
     for S in (EnumeratedOpenSet.from_finite(members, "binary"), staged(members, "binary")):
         try:
             expected = rescanning_approx_escape(S, depth)
