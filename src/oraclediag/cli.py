@@ -8,7 +8,12 @@ cutoff functions and lemma checks.
 
 Exit codes: 0 when the command succeeded and every checked property
 holds, 1 when a property failed (an audit ceiling, an escape
-verification, a measure precondition), 2 for usage or parse errors.
+verification, a measure precondition, the escape's contract:
+``EscapeContractViolation`` or ``StageCapExceeded``), 2 for usage or
+parse errors.  A rational whose denominator has more than 4,300 digits
+(``cylinder.writable``) is refused with exit 2 before any is printed:
+``measure`` checks its value, and an escape its depth (binary 14,284,
+family 9) and its set's cell count before it builds a level.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from pathlib import Path
 
 from . import cylinder, diagonal, pipeline, programs, schedules
 from .experiments import cdh_success_ggm, dlog_success_ggm, shoup_audit
-from .schedules import Schedule, load_schedule_table
+from .schedules import Schedule
 
 
 def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
@@ -56,6 +61,7 @@ def _parse_set(args) -> frozenset:
 def cmd_measure(args) -> int:
     norm = cylinder.normalize_prefix_free(_parse_set(args))
     value = cylinder.prefix_free_measure(norm, args.kind)
+    cylinder.writable(value.denominator, "the measure's denominator")
     print(f"members {len(norm)}")
     print(f"{value.numerator}/{value.denominator}")
     return 0
@@ -92,10 +98,8 @@ def cmd_diagonalize(args) -> int:
         if not args.set_file:
             raise ValueError("diagonalize needs a set file or --toy-pipeline")
         members = _parse_set(args)
-        # sorted once here; the escape answers from that order
-        wrapped = diagonal.EnumeratedOpenSet.from_finite(members, kind=args.kind)
         escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
-        transcript = escape(wrapped, depth=args.depth, mode=args.mode)
+        transcript = escape(members, depth=args.depth, mode=args.mode)
         out_text = transcript.to_text()
         code = 0 if diagonal.verify_escape(transcript.prefix, members) else 1
     if args.out:
@@ -105,16 +109,8 @@ def cmd_diagonalize(args) -> int:
     return code
 
 
-def _base_schedule(args) -> Schedule:
-    if args.schedule == "paper":
-        return Schedule.dlog_paper(args.C)
-    if args.schedule.startswith("file:"):
-        return load_schedule_table(args.schedule[5:])
-    raise ValueError(f"unknown schedule {args.schedule!r} (use paper or file:PATH)")
-
-
 def cmd_schedule(args) -> int:
-    base = _base_schedule(args)
+    base = schedules.named_schedule(args.schedule, args.C)
     rows = []
     if args.k is not None and args.d is not None:
         rows.append({"kind": "f", "k": args.k, "d": args.d, "value": base.f(args.k, args.d)})
@@ -223,7 +219,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (diagonal.MeasureTooLargeError, diagonal.ScheduleBoundError) as exc:
+    except (
+        diagonal.MeasureTooLargeError,
+        diagonal.ScheduleBoundError,
+        diagonal.EscapeContractViolation,
+        diagonal.StageCapExceeded,
+    ) as exc:
         print(f"refusing: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # bad arguments or unreadable files

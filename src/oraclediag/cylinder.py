@@ -59,6 +59,7 @@ pure function, so concurrent callers can share inputs freely.
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Collection, Set
@@ -254,6 +255,39 @@ def cell_den(kind: str, length: int) -> int:
     for k in range(1, length + 1):
         den *= encf_count(k)
     return den
+
+
+# Python writes an int of at most this many digits as text.  The fixed
+# default (4,300), not sys.get_int_max_str_digits(), so that
+# PYTHONINTMAXSTRDIGITS cannot change which questions answer.
+TEXT_DIGITS = sys.int_info.default_max_str_digits
+_TEXT_BOUND = 10**TEXT_DIGITS
+
+
+class TextLimitError(ValueError):
+    """A denominator to be written out has more than ``TEXT_DIGITS`` digits."""
+
+
+def writable(den: int, what: str) -> int:
+    """``den`` if it has at most ``TEXT_DIGITS`` digits, else refused with
+    ``what`` named: the one size rule for every rational written out."""
+    if den >= _TEXT_BOUND:
+        raise TextLimitError(
+            f"{what} has more than {TEXT_DIGITS} digits, the most Python writes out"
+        )
+    return den
+
+
+@lru_cache(maxsize=None)
+def writable_length(kind: str) -> int:
+    """The longest cell length whose cell count is ``writable``: 14,284 for
+    bit strings, 9 for family prefixes (10 has a 4,673-digit count)."""
+    if kind == "binary":
+        return _TEXT_BOUND.bit_length() - 1  # a power of ten is no power of two
+    length = 0
+    while cell_den(kind, length + 1) < _TEXT_BOUND:
+        length += 1
+    return length
 
 
 def binary_cell_volume(s: Bits) -> Fraction:

@@ -11,20 +11,29 @@ unknown remainder, and the derived cell approximator f with
 lexicographically least candidate that certifies strictly below the cell
 volume.
 
-Both modes read a stage through the open-set protocol of ``cylinder``
-(``open_view``): a member set sorted once, or a compact generic-group
-set as it is.  Exact mode takes each level's ``least_open`` child of the
-whole set.  Approx mode certifies candidates in order, and skips those a
-stage that ``uniform_open`` licenses shows rejected; it doubles k up to
-a ceiling derived from the set and the depth, where only full cells are
-undecided, so both modes choose alike.  A transcript records, per step,
-the number of candidates, the chosen index, the certified conditional
-measure, and the cell volume; the step invariant "trapped mass < cell
-volume" is what makes the prefix extendable forever, and
-`verify_escape` re-checks the finite claim against the raw member set
-by looking up the prefixes of the escape in it.  Children are built
-from their ranks, so family escapes reach depth 9 (``FAMILY_DEPTH_CAP``)
-without listing encodings.
+One driver runs both modes.  It reads a stage through the open-set
+protocol of ``cylinder`` (``open_view``): a member set sorted once, or a
+compact generic-group set as it is.  A mode supplies only its check that
+the measure is below 1 and its choice at each level.  Exact mode takes
+the ``least_open`` child of the whole set.  Approx mode certifies
+candidates in order, and skips those a stage that ``uniform_open``
+licenses shows rejected; it doubles k up to a ceiling derived from the
+set and the depth, where only full cells are undecided, so both modes
+choose alike.  A transcript records, per step, the number of
+candidates, the chosen index, the certified conditional measure, and
+the cell volume; the step invariant "trapped mass < cell volume" is
+what makes the prefix extendable forever, and `verify_escape` re-checks
+the finite claim against the raw member set by looking up the prefixes
+of the escape in it.  Children are built from their ranks, so no
+encoding is listed.
+
+Every denominator a transcript writes out divides ``D``, the larger of
+the last stage's ``den`` and the cell count at the depth.  The driver
+refuses, before any level is built, an escape that ``cylinder``'s one
+size rule (``writable``: at most 4,300 digits) rejects: a depth past
+``writable_length``, 14,284 for binary and 9 for family escapes, or a
+set whose own ``den`` is past the rule.  Under it a transcript still
+grows with the square of the depth: 31 MB at binary depth 14,284.
 """
 
 from __future__ import annotations
@@ -32,13 +41,14 @@ from __future__ import annotations
 from collections.abc import Collection, Sequence, Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Callable, Iterable
 
 from .cylinder import (
     FamilyPatternSet,
     KindMismatchError,
+    TextLimitError,
     cell_den,
     cell_mass,
     cell_volume,
@@ -49,6 +59,8 @@ from .cylinder import (
     measure,
     open_union,
     open_view,
+    writable,
+    writable_length,
 )
 from .numbering import phi_escape
 from .schedules import Schedule
@@ -190,32 +202,6 @@ class EscapeTranscript:
         return "\n".join(lines) + "\n"
 
 
-def _coerce(S, kind: str) -> EnumeratedOpenSet:
-    if isinstance(S, EnumeratedOpenSet):
-        if S.kind != kind:
-            raise KindMismatchError(f"expected a {kind} set, got {S.kind}")
-        return S
-    return EnumeratedOpenSet.from_finite(S, kind=kind)
-
-
-def _exact_escape(S: EnumeratedOpenSet, depth: int) -> EscapeTranscript:
-    total = _stage_view(S, len(S.stages))
-    total_measure = total.measure()
-    if total_measure >= 1:
-        raise MeasureTooLargeError(f"open set has measure {total_measure} >= 1")
-    prefix = "" if S.kind == "binary" else ()
-    steps: list[EscapeStep] = []
-    for level in range(1, depth + 1):
-        found = total.least_open(prefix)
-        if found is None:
-            raise EscapeContractViolation(
-                f"no candidate at depth {level} satisfies the strict inequality"
-            )
-        prefix, index, count, trapped = found
-        steps.append(EscapeStep(level, count, index, trapped, cell_volume(prefix)))
-    return EscapeTranscript(S.kind, "exact", prefix, tuple(steps))
-
-
 K_START = 8  # the first precision tried; each retry doubles it
 
 
@@ -271,41 +257,53 @@ def _approx_choice(S: EnumeratedOpenSet, prefix, ceiling: int):
         t = child(prefix, index)
 
 
-def _approx_escape(S: EnumeratedOpenSet, depth: int) -> EscapeTranscript:
-    # Every mass compared is a multiple of 1/D, and |F - f| < 2**-k; once
-    # 2**(1-k) < 1/D, a cell certifies iff it is not full, and the measure
-    # is certified below 1 iff it is.
-    D = max(_stage_view(S, len(S.stages)).den, cell_den(S.kind, depth))
-    ceiling = D.bit_length() + 1
-    # Trust the approximator for the precondition: some k must witness
-    # a total measure strictly below 1.
-    k = K_START
-    while S.measure_approx(k) >= 1 - Fraction(1, 2**k):
-        if k >= ceiling:
-            raise MeasureTooLargeError("measure approximator never certified < 1")
-        k *= 2
-    prefix = "" if S.kind == "binary" else ()
-    steps: list[EscapeStep] = []
-    for level in range(1, depth + 1):
-        chosen = _approx_choice(S, prefix, ceiling)
-        if chosen is None:
-            raise EscapeContractViolation(
-                f"no candidate at depth {level} certified below its cell volume"
-            )
-        prefix, index, count, f_val, k_used = chosen
-        steps.append(EscapeStep(level, count, index, f_val, cell_volume(prefix), k_used))
-    return EscapeTranscript(S.kind, "approx", prefix, tuple(steps))
-
-
 def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
+    """The one escape driver: checks its arguments, wraps a finite set,
+    and extends the prefix level by level.  A mode supplies its check that
+    the measure is below 1 and its choice at a level: the last stage's
+    ``least_open`` (exact), or ``_approx_choice`` (approx)."""
     if depth < 0:
         raise ValueError(f"depth must be at least 0, got {depth}")
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
-    S = _coerce(S, kind)
+    cap = writable_length(kind)
+    if depth > cap:  # before 2**depth is built
+        raise TextLimitError(f"{kind} escape depth capped at {cap}")
+    if not isinstance(S, EnumeratedOpenSet):
+        S = EnumeratedOpenSet.from_finite(S, kind=kind)
+    elif S.kind != kind:
+        raise KindMismatchError(f"expected a {kind} set, got {S.kind}")
+    total = _stage_view(S, len(S.stages))
+    # Every mass compared is a multiple of 1/D, and |F - f| < 2**-k; once
+    # 2**(1-k) < 1/D, a cell certifies iff it is not full, and the measure
+    # is certified below 1 iff it is.  A transcript writes out no
+    # denominator past D.
+    D = writable(max(total.den, cell_den(kind, depth)), f"the {kind} set's cell count")
     if mode == "exact":
-        return _exact_escape(S, depth)
-    return _approx_escape(S, depth)
+        total_measure = total.measure()
+        if total_measure >= 1:
+            raise MeasureTooLargeError(f"open set has measure {total_measure} >= 1")
+        choose = total.least_open
+    else:
+        ceiling = D.bit_length() + 1
+        # trust the approximator: some k must witness a measure below 1
+        k = K_START
+        while S.measure_approx(k) >= 1 - Fraction(1, 2**k):
+            if k >= ceiling:
+                raise MeasureTooLargeError("measure approximator never certified < 1")
+            k *= 2
+        choose = partial(_approx_choice, S, ceiling=ceiling)
+    prefix = "" if kind == "binary" else ()
+    steps: list[EscapeStep] = []
+    for level in range(1, depth + 1):
+        chosen = choose(prefix)
+        if chosen is None:
+            raise EscapeContractViolation(
+                f"no candidate at depth {level} certified below its cell volume"
+            )
+        prefix, index, count, trapped, *k_used = chosen  # approx adds its k
+        steps.append(EscapeStep(level, count, index, trapped, cell_volume(prefix), *k_used))
+    return EscapeTranscript(kind, mode, prefix, tuple(steps))
 
 
 def escape_binary(S, depth: int, mode: str = "exact") -> EscapeTranscript:
@@ -313,20 +311,8 @@ def escape_binary(S, depth: int, mode: str = "exact") -> EscapeTranscript:
     return _escape(S, "binary", depth, mode)
 
 
-# a depth-10 family cell volume has a 4,673-digit denominator, past the
-# 4,300 digits Python turns into text by default; depth 9 answers in ms
-FAMILY_DEPTH_CAP = 9
-
-
 def escape_family(S, depth: int, mode: str = "exact") -> EscapeTranscript:
-    """Family prefix of the requested depth escaping a family open set.
-
-    Depth is capped at ``FAMILY_DEPTH_CAP`` (9), where a transcript can
-    still be written out.  Each level builds only the children it tries,
-    from their ranks.
-    """
-    if depth > FAMILY_DEPTH_CAP:
-        raise ValueError(f"family escape depth capped at {FAMILY_DEPTH_CAP}")
+    """Family prefix of the requested depth escaping a family open set."""
     return _escape(S, "family", depth, mode)
 
 

@@ -20,9 +20,9 @@ compact pattern (length + pinned positions), which is always available
 and measures exactly ``2**-pinned``, and a literal string set, which is
 only materialized under a size guard.  Measures computed from patterns
 never assume the counting identity they are used to verify: they dedupe,
-check pairwise disjointness positionally (patterns pinning the same
-positions are disjoint as soon as they differ), and fall back to
-inclusion-exclusion when sets overlap.
+and check pairwise disjointness positionally (patterns pinning the same
+positions are disjoint as soon as they differ).  A union of overlapping
+patterns is refused, not measured: no test set built here overlaps.
 """
 
 from __future__ import annotations
@@ -200,15 +200,6 @@ class ConstraintPattern:
         theirs = dict(other.pins)
         return any(pos in theirs and theirs[pos] != bit for pos, bit in self.pins)
 
-    def merge(self, other: "ConstraintPattern") -> "ConstraintPattern":
-        if self.conflicts(other):
-            raise ValueError("cannot merge conflicting patterns")
-        merged = dict(self.pins)
-        merged.update(other.pins)
-        return ConstraintPattern(
-            max(self.length, other.length), tuple(sorted(merged.items()))
-        )
-
     def _strings(self) -> Iterator[Bits]:
         """Every string of the pattern, without a size guard."""
         # one segment per run of positions: a pinned run is one fixed
@@ -222,47 +213,28 @@ class ConstraintPattern:
 
 
 def pattern_set_measure(patterns: Sequence[ConstraintPattern]) -> Fraction:
-    """Exact measure of the union of patterns.
+    """Exact measure of the union of patterns whose groups are disjoint.
 
-    Distinct patterns must either conflict pairwise (the usual case: two
-    tables differ in some pinned block) or be few enough for
-    inclusion-exclusion.
+    A group is the distinct patterns of one length pinning the same
+    positions: they differ in a pinned bit, so a group measures its size
+    over ``2**pins``.  Patterns of different groups must conflict pairwise
+    (the usual case: two tables differ in some pinned block); overlapping
+    groups are refused with ``InfeasibleSizeError``.
     """
-    unique = set(patterns)
-    # distinct patterns pinning the same positions of the same length
-    # differ in a pinned bit, so only pairs across groups need a test,
-    # and a group of them measures its size over 2**pins
     groups: dict[tuple[int, tuple[int, ...]], list[ConstraintPattern]] = {}
-    for p in unique:
+    for p in set(patterns):
         groups.setdefault((p.length, tuple(pos for pos, _ in p.pins)), []).append(p)
-    if all(
+    if not all(
         a.conflicts(b)
         for one, other in itertools.combinations(groups.values(), 2)
         for a in one
         for b in other
     ):
-        return sum(
-            (Fraction(len(group), 2 ** len(pins)) for (_, pins), group in groups.items()),
-            Fraction(0),
-        )
-    if len(unique) > 16:
-        raise InfeasibleSizeError(
-            "overlapping patterns: inclusion-exclusion capped at 16 members"
-        )
-    total = Fraction(0)
-    for r in range(1, len(unique) + 1):
-        sign = 1 if r % 2 else -1
-        for combo in itertools.combinations(unique, r):
-            merged = combo[0]
-            ok = True
-            for p in combo[1:]:
-                if merged.conflicts(p):
-                    ok = False
-                    break
-                merged = merged.merge(p)
-            if ok:
-                total += sign * merged.measure()
-    return total
+        raise InfeasibleSizeError("overlapping pattern groups: their union is not measured")
+    return sum(
+        (Fraction(len(group), 2 ** len(pins)) for (_, pins), group in groups.items()),
+        Fraction(0),
+    )
 
 
 @lru_cache(maxsize=64)

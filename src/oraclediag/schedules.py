@@ -172,3 +172,13 @@ def load_schedule_table(path: str | Path) -> Schedule:
             raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
         pair_table[(k, d)] = value
     return Schedule.custom(pair_table=pair_table)
+
+
+def named_schedule(name: str, C: int = 1) -> Schedule:
+    """The pair schedule a name stands for: ``paper``, the closed form with
+    constant C, or ``file:PATH``, a table read by ``load_schedule_table``."""
+    if name == "paper":
+        return Schedule.dlog_paper(C)
+    if name.startswith("file:"):
+        return load_schedule_table(name[5:])
+    raise ValueError(f"unknown schedule {name!r}")

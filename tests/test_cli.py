@@ -77,6 +77,20 @@ class TestMeasure:
         code, _, err = run_cli(capsys, "measure", "/nonexistent/set.txt")
         assert code == 2
 
+    @pytest.mark.parametrize("bits", [14284, 14285])
+    def test_one_member_at_the_size_rule(self, tmp_path, capsys, bits):
+        path = tmp_path / "set.txt"
+        path.write_text("1" * bits + "\n")
+        code, out, err = run_cli(capsys, "measure", str(path))
+        if bits == 14284:  # 2**14284 has 4,300 digits
+            assert (code, out, err) == (0, f"members 1\n1/{2**bits}\n", "")
+        else:
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: the measure's denominator has more than 4300 digits,"
+                " the most Python writes out\n"
+            )
+
 
 class TestExperiments:
     def test_dlog_exact_value(self, capsys):
@@ -293,6 +307,31 @@ class TestDiagonalize:
         assert time.perf_counter() - started < 1
         assert code == 0  # verified
         assert f"prefix {'0' * depth}\n" in out
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_binary_depth_past_the_size_rule(self, tmp_path, capsys, monkeypatch, mode):
+        path = tmp_path / "set.txt"
+        path.write_text("1\n")
+        argv = ["diagonalize", str(path), "--depth", "14285", "--mode", mode]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: binary escape depth capped at 14284\n")
+        # a fixed rule: lifting Python's own limit answers the same
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+        done = assert_usage_error(argv)
+        assert done.stderr == err
+
+    @pytest.mark.parametrize("error", ["EscapeContractViolation", "StageCapExceeded"])
+    def test_escape_contract_errors_exit_1(self, tmp_path, capsys, monkeypatch, error):
+        from oraclediag import diagonal
+
+        def broken(S, depth, mode):
+            raise getattr(diagonal, error)("broken inputs")
+
+        monkeypatch.setattr(diagonal, "escape_binary", broken)
+        path = tmp_path / "set.txt"
+        path.write_text("0\n")
+        code, out, err = run_cli(capsys, "diagonalize", str(path))
+        assert (code, out, err) == (1, "", "refusing: broken inputs\n")
 
     def test_family_member_set_at_width_four(self, tmp_path, capsys):
         path = tmp_path / "set.txt"

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oraclediag import cylinder, diagonal
 from oraclediag.cylinder import (
     FamilyPatternSet,
+    TextLimitError,
     all_encodings,
     cell_volume,
     family_measure,
     family_prefixes_of_length,
     measure,
+    writable_length,
 )
 from oraclediag.diagonal import (
-    FAMILY_DEPTH_CAP,
     EnumeratedOpenSet,
     EscapeStep,
     EscapeTranscript,
@@ -309,6 +311,34 @@ def test_approx_escape_rejects_bad_precisions(escape, members, k_start, k_max):
     assert escape(members, depth=1, mode="approx").prefix
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize(
+    "escape,members,depth,message",
+    [
+        (escape_binary, {"1"}, 14285, "^binary escape depth capped at 14284$"),
+        (escape_family, {(E1[0],)}, 10, "^family escape depth capped at 9$"),
+        # the set's own cell count 2**14285 is past the rule
+        (escape_binary, {"0" * 14285}, 1, "binary set's cell count has more than 4300 digits"),
+    ],
+    ids=["binary-depth", "family-depth", "binary-set"],
+)
+def test_the_size_rule_refuses_before_any_level(escape, members, depth, message, mode, monkeypatch):
+    def refuse(prefix, index):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(cylinder, "child", refuse)
+    monkeypatch.setattr(diagonal, "child", refuse)  # _approx_choice looks it up here
+    with pytest.raises(TextLimitError, match=message):
+        escape(members, depth=depth, mode=mode)
+
+
+def test_the_deepest_writable_binary_escape_answers():
+    depth = writable_length("binary")
+    transcript = escape_binary({"1"}, depth=depth)
+    assert transcript.prefix == "0" * depth == "0" * 14284
+    assert transcript.steps[-1].cell == Fraction(1, 2**depth)
+
+
 @st.composite
 def compact_sets(draw):
     """One level of width 1-4 with a few bad assignments to one or two keys."""
@@ -324,7 +354,7 @@ def compact_sets(draw):
     st.one_of(
         st.tuples(st.frozensets(st.text("01", min_size=1, max_size=6), max_size=8),
                   st.integers(0, 300)),
-        st.tuples(compact_sets(), st.integers(0, FAMILY_DEPTH_CAP)),
+        st.tuples(compact_sets(), st.integers(0, writable_length("family"))),
     )
 )
 def test_every_approx_escape_ends(run):

@@ -18,6 +18,7 @@ from oraclediag.schedules import (
     escape_schedule,
     load_schedule_table,
     markov_exceed_count,
+    named_schedule,
     power_threshold_check,
     tail_bound_check,
 )
@@ -192,3 +193,9 @@ def test_schedule_table_file(tmp_path):
     bad.write_text("1 2\n")
     with pytest.raises(ValueError):
         load_schedule_table(bad)
+    # the names the CLI and the toy pipeline read
+    assert named_schedule(f"file:{path}") == sched
+    assert named_schedule("paper", 3) == Schedule.dlog_paper(3)
+    for name in ("compressed", "bogus", "file:"):
+        with pytest.raises((ValueError, OSError)):
+            named_schedule(name)

@@ -241,8 +241,10 @@ class TestPatternMeasure:
     def test_overlapping_inclusion_exclusion(self):
         a = ConstraintPattern(3, ((0, "1"),))
         b = ConstraintPattern(3, ((1, "1"),))
+        with pytest.raises(InfeasibleSizeError, match="overlapping"):
+            pattern_set_measure([a, b])
         # P(a or b) = 1/2 + 1/2 - 1/4
-        assert pattern_set_measure([a, b]) == Fraction(3, 4)
+        assert _reference_pattern_measure([a, b]) == Fraction(3, 4)
         union = pattern_strings(a) | pattern_strings(b)
         assert binary_measure(union) == Fraction(3, 4)
 
@@ -295,21 +297,28 @@ def pattern_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(pattern_sets())
 def test_pattern_measure_matches_pairwise_and_inclusion_exclusion(sets):
+    """Pairwise disjoint patterns measure as the reference does; any
+    overlap is refused, and the reference still holds the strings to it."""
+    disjoint = all(a.conflicts(b) for a, b in itertools.combinations(set(sets), 2))
+    if not disjoint:
+        with pytest.raises(InfeasibleSizeError, match="overlapping"):
+            pattern_set_measure(sets)
     try:
         expected = _reference_pattern_measure(sets)
     except InfeasibleSizeError:
-        with pytest.raises(InfeasibleSizeError):
-            pattern_set_measure(sets)
         return
-    assert pattern_set_measure(sets) == expected
+    if disjoint:
+        assert pattern_set_measure(sets) == expected
     assert binary_measure(frozenset().union(*map(pattern_strings, sets))) == expected
 
 
 def test_pattern_measure_caps_inclusion_exclusion():
     overlapping = [ConstraintPattern(17, ((i, "1"),)) for i in range(17)]
-    with pytest.raises(InfeasibleSizeError):
-        pattern_set_measure(overlapping)
-    assert pattern_set_measure(overlapping[:2]) == Fraction(3, 4)
+    for patterns in (overlapping, overlapping[:2]):
+        with pytest.raises(InfeasibleSizeError, match="overlapping"):
+            pattern_set_measure(patterns)
+    strings = frozenset().union(*map(pattern_strings, overlapping[:2]))
+    assert binary_measure(strings) == _reference_pattern_measure(overlapping[:2]) == Fraction(3, 4)
 
 
 class TestTestsetMeasure:
