@@ -12,8 +12,9 @@ verification, a measure precondition, the escape's contract:
 ``EscapeContractViolation`` or ``StageCapExceeded``), 2 for usage or
 parse errors.  A rational whose denominator has more than 4,300 digits
 (``cylinder.writable``) is refused with exit 2 before any is printed:
-``measure`` checks its value, and an escape its depth (binary 14,284,
-family 9) and its set's cell count before it builds a level.
+``measure`` checks its value, ``schedule`` each value, and an escape
+its depth (binary 14,284, family 9) and its set's cell count before it
+builds a level.
 """
 
 from __future__ import annotations
@@ -119,6 +120,8 @@ def cmd_schedule(args) -> int:
         rows.append({"kind": "g", "k": args.m, "d": "", "value": g.g(args.m)})
     if not rows:
         raise ValueError("schedule needs --k/--d and/or --m")
+    for row in rows:
+        cylinder.writable(row["value"], f"the {row['kind']} cutoff")
     _emit(rows, args.out, args.format)
     return 0
 

@@ -31,7 +31,8 @@ Generic-group constraint sets have a compact form,
 the bad assignments ``table[Z] = v`` of the level's encoding, the levels
 before it free.  Its measure, cell masses and least avoiding encodings
 follow from the assignments in closed form, so none of its members is
-built unless a caller iterates it.
+built: it is a view with no set algebra, nonempty iff it has a level,
+and it looks up one prefix at a time.
 
 Escapes read a finite set through one protocol, which both
 :class:`SortedPrefixFree` and :class:`FamilyPatternSet` implement:
@@ -62,7 +63,7 @@ import itertools
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Collection, Set
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -149,12 +150,6 @@ class EncodingFunction:
 
     def encode(self, x: int) -> Bits:
         return format(self.table[x], f"0{self.n}b")
-
-    def decode(self, s: Bits) -> int:
-        """Preimage of an n-bit string; raises if s is not in the image."""
-        if len(s) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {s!r}")
-        return self.table.index(int(s, 2))
 
 
 FamilyPrefix = tuple[EncodingFunction, ...]
@@ -290,20 +285,10 @@ def writable_length(kind: str) -> int:
     return length
 
 
-def binary_cell_volume(s: Bits) -> Fraction:
-    return Fraction(1, 2 ** len(s))
-
-
-def family_cell_volume(s: FamilyPrefix) -> Fraction:
-    """Volume of the cell spanned by a finite family prefix.
-
-    The empty prefix spans the whole space and has volume 1.
-    """
-    return Fraction(1, cell_den("family", len(s)))
-
-
 def cell_volume(s) -> Fraction:
-    return binary_cell_volume(s) if isinstance(s, str) else family_cell_volume(s)
+    """Volume of the cell spanned by a bit string or a family prefix; the
+    empty prefix spans the whole space and has volume 1."""
+    return Fraction(1, 2 ** len(s) if isinstance(s, str) else cell_den("family", len(s)))
 
 
 def length_weights(lengths: Iterable[int], kind: str) -> tuple[int, dict[int, int]]:
@@ -459,7 +444,8 @@ def open_view(members: Collection, kind: str | None = None):
 def open_union(pieces: Iterable[Collection], kind: str) -> Collection:
     """One finite set for the union of finite sets of ``kind``: compact
     when every nonempty piece of a family union is, else the frozenset
-    of every member."""
+    of every member, which refuses a compact piece past
+    ``EXHAUSTIVE_WIDTH_CAP``.  No piece's members are counted."""
     pieces = [piece for piece in pieces if piece]
     if kind == "family" and all(isinstance(p, FamilyPatternSet) for p in pieces):
         return FamilyPatternSet.union(pieces)
@@ -600,7 +586,7 @@ def least_encoding(
     return tuple(table)
 
 
-class FamilyPatternSet(Set):
+class FamilyPatternSet:
     """Family prefixes whose encoding at one level hits a bad assignment.
 
     Level ``n`` holds sorted table keys ``Z`` and distinct injective
@@ -611,10 +597,13 @@ class FamilyPatternSet(Set):
     independent coordinates of the product measure, so the set measures
     ``1 - prod(1 - mu_n)`` over its levels' masses ``mu_n``.
 
-    It is sized and iterable like the frozenset of its members and
-    compares equal to it, but holds only the assignments; the set
-    operators inherited from :class:`collections.abc.Set` return plain
-    frozensets.
+    It holds only the assignments.  It is a view, not a set of members:
+    it is true iff it has a level, answers ``in`` for one prefix, and
+    has no set algebra or ``==`` with a frozenset.  It is sized for the
+    ``members=`` lines of a pipeline report, and iterable for a union
+    with member sets; the benchmark counts and lists toy-registry blocks
+    through both.  Each counts or builds every member, and iteration
+    refuses a width past ``EXHAUSTIVE_WIDTH_CAP``.
     """
 
     __slots__ = ("levels",)
@@ -637,10 +626,6 @@ class FamilyPatternSet(Set):
         self.levels = checked
 
     @classmethod
-    def _from_iterable(cls, members: Iterable) -> frozenset:
-        return frozenset(members)
-
-    @classmethod
     def union(cls, pieces: Iterable["FamilyPatternSet"]) -> "FamilyPatternSet":
         """One set for the union.  Where pieces read different keys at a
         level, their assignments move to the union of those keys."""
@@ -654,6 +639,9 @@ class FamilyPatternSet(Set):
             for n, (keys, bad) in piece.levels.items():
                 merged[n][1].update(_refine(n, keys, bad, merged[n][0]))
         return cls(merged)
+
+    def __bool__(self) -> bool:
+        return bool(self.levels)
 
     def __len__(self) -> int:
         return sum(

@@ -38,7 +38,7 @@ grows with the square of the depth: 31 MB at binary depth 14,284.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence, Set
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -318,10 +318,11 @@ def escape_family(S, depth: int, mode: str = "exact") -> EscapeTranscript:
 
 def verify_escape(prefix, members: Iterable) -> bool:
     """Independent check that no member of the set traps the prefix: none
-    of the prefix's own ``len(prefix) + 1`` prefixes is a member.  A
-    compact set answers the lookups without building a member.
+    of the prefix's own ``len(prefix) + 1`` prefixes is a member.  Any
+    ``Collection`` is looked up as it is, so a compact set answers
+    without building a member; other iterables are gathered once.
     """
-    if not isinstance(members, Set):
+    if not isinstance(members, Collection):
         members = frozenset(members)
     kind_of(members, "binary" if isinstance(prefix, str) else "family")  # refuses mixed kinds
     return not any(prefix[:i] in members for i in range(len(prefix) + 1))

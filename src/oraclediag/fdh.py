@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .cylinder import Bits, all_bit_strings, bit_strings_up_to
-from .rom import EllPoly, ExperimentOracle, OracleTable
+from .rom import ELL_ONE, EllPoly, ExperimentOracle, OracleTable
 from .vm import coin_tapes
 
 
@@ -31,11 +31,6 @@ def shift_apply(width: int, key: int, s: Bits) -> Bits:
 
 def shift_invert(width: int, key: int, s: Bits) -> Bits:
     return format((int(s, 2) - key) % 2**width, f"0{width}b")
-
-
-def shift_table(width: int, key: int) -> dict[Bits, Bits]:
-    """The keyed permutation, materialized (tests and docs)."""
-    return {s: shift_apply(width, key, s) for s in all_bit_strings(width)}
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,7 @@ class ToyFdhScheme:
 
 
 def default_toy_scheme(q: int = 1) -> ToyFdhScheme:
-    return ToyFdhScheme(ell=EllPoly((1,)), query_depth=lambda n: q)
+    return ToyFdhScheme(ell=ELL_ONE, query_depth=lambda n: q)
 
 
 @dataclass(frozen=True)

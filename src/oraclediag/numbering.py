@@ -32,21 +32,9 @@ def string_to_nat(x: Bits) -> int:
     return int("1" + x, 2) - 1
 
 
-def nat_to_string(k: int) -> Bits:
-    if k < 0:
-        raise ValueError("naturals only")
-    return bin(k + 1)[3:]  # strip '0b1'
-
-
 def phi_escape(m: int) -> tuple[int, int]:
     """Bijection from positive integers onto pairs (i, d) with i >= 1, d >= 2."""
     if m < 1:
         raise ValueError("m must be positive")
     a, b = cantor_unpair(m - 1)
     return a + 1, b + 2
-
-
-def phi_escape_inverse(i: int, d: int) -> int:
-    if i < 1 or d < 2:
-        raise ValueError("need i >= 1 and d >= 2")
-    return cantor_pair(i - 1, d - 2) + 1

@@ -22,10 +22,8 @@ from .numbering import string_to_nat
 from .vm import (
     OP_ADD,
     OP_COIN,
-    OP_CONST,
     OP_EQ,
     OP_INPUT,
-    OP_INV,
     OP_OUT_INT,
     OP_OUT_REG,
     GenericProgram,
@@ -61,12 +59,6 @@ class _Asm:
 
     def add(self, a: int, b: int) -> int:
         return self._value([OP_ADD, a, b])
-
-    def inv(self, a: int) -> int:
-        return self._value([OP_INV, a])
-
-    def const(self, c: int) -> int:
-        return self._value([OP_CONST, c])
 
     def eq(self, a: int, b: int, label: str) -> None:
         self._emit([OP_EQ, a, b, label])

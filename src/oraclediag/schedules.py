@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .cylinder import _content_lines
+from .cylinder import _content_lines, writable, writable_length
 from .numbering import phi_escape
 
 
@@ -81,11 +81,16 @@ def dlog_schedule(k: int, d: int, C: int) -> int:
 
 def escape_schedule(m: int, f: Callable[[int, int], int]) -> int:
     """Start of the m-th constraint block, ``(f(i, 2d) + 1)**(m + 1)``
-    with ``(i, d) = phi_escape(m)``."""
+    with ``(i, d) = phi_escape(m)``.  ``cylinder``'s one size rule
+    (``writable``) refuses it, without building the power when a lower
+    bound on its bit length is past the rule already."""
     if m < 1:
         raise ValueError("m must be positive")
     i, d = phi_escape(m)
-    return (f(i, 2 * d) + 1) ** (m + 1)
+    base = f(i, 2 * d) + 1
+    bits, cap = (m + 1) * (base.bit_length() - 1), writable_length("binary")
+    # base**(m + 1) >= 2**bits >= 2**(cap + 1), which the rule refuses in its place
+    return writable(base ** (m + 1) if bits <= cap else 2 ** (cap + 1), f"the cutoff g({m})")
 
 
 # ---------------------------------------------------------------------------

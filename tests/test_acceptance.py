@@ -225,7 +225,7 @@ def test_criterion_7_approximation_tower():
     for m in range(1, 6):
         i, d = phi_escape(m)
         for n in range(g_sched.g(m), 4):
-            union |= family(i, d, n)
+            union.update(family(i, d, n))
     brute = measure(frozenset(union))
     for k in range(0, 10):
         ok &= abs(assembled.measure_approx(k) - brute) <= Fraction(1, 2**k)

@@ -410,6 +410,26 @@ class TestScheduleAndBounds:
     def test_bad_values_are_usage_errors(self, argv):
         assert_usage_error(argv.split())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "schedule --m 100000",
+            "schedule --m 10000000",
+            f"schedule --k 1{'0' * 2500} --d 1",
+            f"diagonalize --toy-pipeline --C 1{'0' * 3999}",
+            "diagonalize --toy-pipeline --schedule file:{table}",
+        ],
+        ids=["m-1e5", "m-1e7", "k-2501-digits", "pipeline-C", "pipeline-file"],
+    )
+    def test_values_past_the_size_rule(self, tmp_path, capsys, argv):
+        table = tmp_path / "table.txt"
+        table.write_text("".join(f"{i} {d} 1{'0' * 3999}\n" for i in (1, 2) for d in (4, 6, 8)))
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv.replace("{table}", str(table)).split())
+        assert time.perf_counter() - started < 1
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "digits, the most Python writes out" in err
+
     def test_markov_bad_fraction(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--check", "markov", "--values", "1/x",
@@ -424,12 +444,19 @@ def test_usage_error_exit_code():
 
 
 def _flags(draw, ranges):
+    """Each flag absent or drawn from its ``(lo, hi)`` range or strategy."""
     argv = []
-    for flag, (lo, hi) in ranges.items():
-        value = draw(st.none() | st.integers(lo, hi))
+    for flag, values in ranges.items():
+        value = draw(st.none() | (st.integers(*values) if isinstance(values, tuple) else values))
         if value is not None:
             argv += [flag, str(value)]
     return argv
+
+
+# numbers of up to 4,000 digits, short of the 4,300 Python reads
+WIDE = (st.sampled_from([100, 1000, 2000, 4000]) | st.integers(1, 4000)).flatmap(
+    lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1)
+)
 
 
 @st.composite
@@ -454,8 +481,9 @@ def cli_argvs(draw):
         argv += ["--schedule", draw(st.sampled_from(["paper", "compressed"]))]
         return argv + _flags(draw, {"--depth": (-2, 10), "--C": (-2, 3)})
     if command == "schedule":
-        return [command] + _flags(draw, {"--k": (-2, 4), "--d": (-2, 4), "--m": (-2, 3),
-                                         "--C": (-2, 3)})
+        return [command] + _flags(draw, {"--k": st.integers(-2, 4) | WIDE, "--d": (-2, 4),
+                                         "--m": st.integers(-2, 3) | st.integers(1000, 10**12),
+                                         "--C": st.integers(-2, 3) | WIDE})
     argv = ["bounds", "--check", command]
     if command == "tail":
         return argv + _flags(draw, {"--n": (-2, 5), "--d": (-2, 5), "--terms": (-2, 64)})
@@ -496,18 +524,43 @@ def set_file_runs(draw):
     return argv, text
 
 
+@st.composite
+def schedule_file_runs(draw):
+    """``schedule`` or ``diagonalize --toy-pipeline`` over a drawn ``file:``
+    table: valid rows, junk rows, zero and negative values, missing
+    ``(k, d)`` entries and values of up to 4,000 digits."""
+    table = {(k, d): draw(st.integers(1, 60)) for k in (1, 2, 3) for d in (4, 6, 8)}
+    junk = []
+    for fault in draw(st.lists(st.sampled_from(["junk", "nonpositive", "missing", "wide"]), max_size=2)):
+        key = draw(st.sampled_from(sorted(table)))
+        if fault == "junk":
+            junk.append(draw(st.sampled_from(["abc", "1 4", "1 4 5 6", "1,4,x", "1, 4, 7"])))
+        elif fault == "missing":
+            table.pop(key)
+        else:
+            table[key] = draw(st.integers(-2, 0) if fault == "nonpositive" else WIDE)
+    rows = [f"{k} {d} {v}" for (k, d), v in table.items()] + junk
+    text = "\n".join(draw(st.permutations(rows))) + "\n"
+    if draw(st.booleans()):
+        argv = ["schedule", "--schedule", "file:{set}"]
+        return argv + _flags(draw, {"--k": (-1, 3), "--d": (-1, 8), "--m": (-1, 6)}), text
+    argv = ["diagonalize", "--toy-pipeline", "--schedule", "file:{set}"]
+    return argv + ["--mode", draw(st.sampled_from(["exact", "approx"]))], text
+
+
 @settings(max_examples=100, deadline=None)
-@given(run=st.tuples(cli_argvs(), st.none()) | set_file_runs())
+@given(run=st.tuples(cli_argvs(), st.none()) | set_file_runs() | schedule_file_runs())
 def test_small_integer_flags_keep_the_exit_contract(run):
-    """Every subcommand exits 0, 1 or 2 on small integers and on drawn set
-    files, with no traceback."""
+    """Every subcommand exits 0, 1 or 2 on small integers, numbers of up
+    to 4,000 digits, and drawn set files and schedule tables, with no
+    traceback."""
     argv, text = run
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "set.txt"
         if text is not None:
             path.write_text(text)
-        argv = [str(path) if a == "{set}" else a for a in argv]
+        argv = [a.replace("{set}", str(path)) for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

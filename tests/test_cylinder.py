@@ -16,7 +16,6 @@ from oraclediag.cylinder import (
     bit_strings_up_to,
     cell_volume,
     encf_count,
-    family_cell_volume,
     family_measure,
     family_prefixes_of_length,
     format_binary_set,
@@ -31,6 +30,7 @@ from oraclediag.cylinder import (
     validate_bits,
 )
 from oraclediag.schedules import load_schedule_table
+from oraclediag.vm import GroupOracle, InvalidEncoding
 
 E1 = all_encodings(1)
 E2 = all_encodings(2)
@@ -99,14 +99,14 @@ class TestBinaryMeasure:
 
 class TestFamilyMeasure:
     def test_empty_prefix_volume(self):
-        assert family_cell_volume(()) == 1
+        assert cell_volume(()) == 1
 
     def test_level_one_volume(self):
         for e in E1:
-            assert family_cell_volume((e,)) == Fraction(1, 2)
+            assert cell_volume((e,)) == Fraction(1, 2)
 
     def test_level_two_volume(self):
-        assert family_cell_volume((E1[1], E2[17])) == Fraction(1, 48)
+        assert cell_volume((E1[1], E2[17])) == Fraction(1, 48)
 
     def test_empty_set(self):
         assert family_measure(set()) == 0
@@ -240,15 +240,17 @@ class TestEncodingFunction:
             EncodingFunction(1, (0, 0))
 
     def test_encode_decode_roundtrip(self):
+        # the group oracle's decoder is the inverse of a whole-width encoding
         for encodings in (E1, E2, E3):
             for enc in encodings:
+                oracle = GroupOracle(2**enc.n, enc)
                 for x in range(2**enc.n):
-                    assert enc.decode(enc.encode(x)) == x
+                    assert oracle.decode(enc.encode(x)) == x
 
     @pytest.mark.parametrize("s", ["", "1", "011", "0110"])
     def test_decode_rejects_wrong_length(self, s):
-        with pytest.raises(ValueError, match="expected 2 bits"):
-            E2[5].decode(s)
+        with pytest.raises(InvalidEncoding, match="does not encode"):
+            GroupOracle(4, E2[5]).decode(s)
 
     def test_lexicographic_enumeration(self):
         assert E1[0].table == (0, 1)

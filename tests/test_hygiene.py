@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-and every name the benchmark looks up in the package exists."""
+every name the benchmark looks up in the package exists, and every name
+the package defines is read by the package or the benchmark."""
 
 import ast
 import importlib
@@ -136,3 +137,68 @@ def test_every_name_the_benchmark_needs_exists():
     ]
     missing += [f"{module}.{attr}" for module, attr in bench_references() if not _resolves(module, attr)]
     assert not missing, sorted(missing)
+
+
+# ---------------------------------------------------------------------------
+# Names only tests reach
+# ---------------------------------------------------------------------------
+
+# kept in the library though no src/ or bench/ code reads them
+TEST_ONLY = {
+    "subadditivity_check": "acceptance criterion 1 checks the measure axioms with it",
+    "monotonicity_check": "acceptance criterion 1 checks the measure axioms with it",
+    "minimal_shoup_constant": "acceptance criterion 3 audits the Shoup constant with it",
+    "build_rom_testfamily": "acceptance criterion 7 builds its random-oracle test sets with it",
+    "all_oracle_tables": "the brute-force reference that bad_tables_for is held to",
+}
+
+
+def definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants, and the methods of
+    module-level classes (``Class.method``); dunders are left out, as the
+    language calls them."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in found if not re.fullmatch(r"__\w+__", name.rsplit(".", 1)[-1])]
+
+
+def names_read(source: str) -> set[str]:
+    """Every name loaded and every attribute read, by name alone."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unread(defining: str, read: set[str]) -> list[str]:
+    """Definitions in ``defining`` whose name is not in ``read``."""
+    return [name for name in definitions(defining) if name.rsplit(".", 1)[-1] not in read]
+
+
+def test_the_scan_sees_a_name_only_tests_reach():
+    defining = (
+        "LIMIT = 3\nCOUNT: int = 4\n"
+        "def used(): pass\ndef planted(): pass\ndef traced(): pass\n"
+        "class Box:\n    def __len__(self): pass\n    def size(self): pass\n    def spare(self): pass\n"
+    )
+    read = names_read("used(LIMIT, COUNT)\nBox().size()\n") | {"traced"}
+    assert unread(defining, read) == ["planted", "Box.spare"]
+
+
+def test_every_library_name_has_a_caller_outside_tests():
+    sources = sorted((ROOT / "src" / "oraclediag").glob("*.py"))
+    read = {attr for _, attr, _ in tracing_targets()}  # looked up by string
+    for path in [*sources, *BENCH.glob("*.py")]:
+        read |= names_read(path.read_text(encoding="utf-8"))
+    found = {name: path.stem for path in sources for name in unread(path.read_text(encoding="utf-8"), read)}
+    # a name found and not listed is read by tests only; one listed and
+    # not found has a caller again and leaves the list
+    assert set(found) == set(TEST_ONLY), {n: found.get(n, "read") for n in set(found) ^ set(TEST_ONLY)}

@@ -49,7 +49,7 @@ class TestCompressed:
         for m in range(1, 6):
             i, d = phi_escape(m)
             for n in range(g_sched.g(m), 4):
-                union |= family(i, d, n)
+                union.update(family(i, d, n))
         exact = measure(frozenset(union))
         assert exact < 1
         for k in range(0, 9):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oraclediag.cylinder import binary_measure
+from oraclediag.cylinder import binary_measure, bit_strings_up_to
 from oraclediag.fdh import ADVERSARIES, default_toy_scheme, fdh_experiment_oracle
-from oraclediag.numbering import cantor_pair, cantor_unpair, nat_to_string
+from oraclediag.numbering import cantor_pair, cantor_unpair
 from oraclediag.rom import (
     ELL_ONE,
     ConstraintPattern,
@@ -393,6 +393,7 @@ def adaptive_oracles(draw):
     reads_values = draw(st.booleans())
     out_of_range = draw(st.booleans())
     size = domain_size(q)
+    strings = bit_strings_up_to(q)  # string j is the natural j
 
     def evaluator(n, table):
         rng = random.Random(seed)
@@ -403,7 +404,7 @@ def adaptive_oracles(draw):
                 continue
             j = (rng.randrange(size) + state) % size
             try:
-                state = 3 * state + int(table.lookup(nat_to_string(j)), 2) + 1
+                state = 3 * state + int(table.lookup(strings[j]), 2) + 1
             except Exception:  # unreachable on a whole table
                 return Fraction(0)
             if state % 7 == 0:
