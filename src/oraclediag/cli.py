@@ -54,6 +54,15 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from exc
 
 
+def integer(text: str) -> int:
+    """The type of every integer flag: a numeral past the size rule is
+    refused by the rule's message rather than echoed digit by digit."""
+    try:
+        return cylinder.read_int(text, "the value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_set(args) -> frozenset:
     parse = cylinder.parse_binary_set if args.kind == "binary" else cylinder.parse_family_set
     return parse(Path(args.set_file).read_text())
@@ -172,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("dlog", cmd_dlog), ("cdh", cmd_cdh)):
         p = sub.add_parser(name, help=f"{name} experiment or fixed-modulus audit")
         p.add_argument("--prog", required=True, help=programs.REGISTRY_HELP)
-        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n", type=integer, required=True)
         p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int, default=50)
-        p.add_argument("--N", dest="modulus", type=int, help="fixed modulus: audit mode")
-        p.add_argument("--C", type=int, default=1, help="Shoup constant for the audit")
+        p.add_argument("--seed", type=integer)
+        p.add_argument("--samples", type=integer, default=50)
+        p.add_argument("--N", dest="modulus", type=integer, help="fixed modulus: audit mode")
+        p.add_argument("--C", type=integer, default=1, help="Shoup constant for the audit")
         p.add_argument("--out")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(func=func)
@@ -185,19 +194,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagonalize", help="escape a finite set or run the toy pipeline")
     p.add_argument("set_file", nargs="?")
     p.add_argument("--kind", choices=("binary", "family"), default="binary")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=integer, default=3)
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--toy-pipeline", action="store_true")
     p.add_argument("--schedule", default="paper", help="paper or compressed")
-    p.add_argument("--C", type=int, default=1)
+    p.add_argument("--C", type=integer, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("schedule", help="evaluate the cutoff schedules")
-    p.add_argument("--k", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--C", type=int, default=1)
+    p.add_argument("--k", type=integer)
+    p.add_argument("--d", type=integer)
+    p.add_argument("--m", type=integer)
+    p.add_argument("--C", type=integer, default=1)
     p.add_argument("--schedule", default="paper", help="paper or file:PATH")
     p.add_argument("--out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -205,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="lemma checks (tail, power, markov)")
     p.add_argument("--check", choices=("tail", "power", "markov"), required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--terms", type=int, default=256)
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n", type=integer)
+    p.add_argument("--d", type=integer)
+    p.add_argument("--terms", type=integer, default=256)
+    p.add_argument("--n-max", type=integer)
     p.add_argument("--values", help="comma-separated rationals")
     p.add_argument("--epsilon", default="1")
     p.add_argument("--alpha", default="1")

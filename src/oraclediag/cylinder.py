@@ -273,6 +273,17 @@ def writable(den: int, what: str) -> int:
     return den
 
 
+def read_int(text: str, what: str) -> int:
+    """``int(text)``, with ``what`` named in a refusal; a numeral of more
+    than ``TEXT_DIGITS`` digits is refused by the size rule, unechoed."""
+    if len(text) > TEXT_DIGITS and sum(map(str.isdigit, text)) > TEXT_DIGITS:
+        raise TextLimitError(f"{what} has more than {TEXT_DIGITS} digits, the most Python reads")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} is not an integer: {text!r}") from None
+
+
 @lru_cache(maxsize=None)
 def writable_length(kind: str) -> int:
     """The longest cell length whose cell count is ``writable``: 14,284 for

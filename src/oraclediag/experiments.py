@@ -8,7 +8,9 @@ prime in [2**(n-1), 2**n), so n = 2 gives {2, 3} and n = 3 gives {5, 7}.
 A program's path and query count depend on the encoding only through
 handle equality, so each (modulus, hidden values, coins) instance is run
 once, without an encoding, into an instance plan; a run's win then
-depends on at most one table entry sigma(z) == t.  Exhaustive averages
+depends on at most one table entry sigma(z) == t.  Only cdh wins do: a
+dlog register output is never below 2**n - 1, past every hidden x, so
+dlog plans carry no per-entry weights.  Exhaustive averages
 and the fixed-modulus audit follow from the plan in closed form, because
 each sigma(z) is uniform on 2**n values; they enumerate no encodings.
 The sampled path draws encodings from a seeded RNG, evaluates the plan
@@ -142,9 +144,8 @@ def _success_over_instances(
 def _hidden_tuples(prog: GenericProgram, N: int):
     if prog.n_inputs == 2:  # dlog-shaped: hidden x
         return ((x,) for x in range(N))
-    if prog.n_inputs == 3:  # cdh-shaped: hidden (x, y)
-        return ((x, y) for x in range(N) for y in range(N))
-    raise ValueError(f"{prog.name}: unsupported input arity {prog.n_inputs}")
+    # cdh-shaped: hidden (x, y); every caller has checked the arity
+    return ((x, y) for x in range(N) for y in range(N))
 
 
 def _dlog_wins(res: RunResult, N: int, hidden: tuple) -> bool:
@@ -197,14 +198,12 @@ def _check_arity(prog: GenericProgram, experiment: str) -> None:
 def _win_entry(experiment: str, kind: str, value: int, N: int, hidden: tuple, top: int):
     """How one symbolic run wins: outright (a bool) or as (z, t), iff table[z] == t."""
     if experiment == "dlog":
-        if kind == "int":
-            return value == hidden[0]
-        z, t = value, hidden[0] - top + 1  # output top + table[value] - 1 must equal x
-    else:
-        z = hidden[0] * hidden[1] % N  # target top + table[z] - 1
-        if kind == "reg":
-            return value == z  # encodings are injective
-        t = value - top + 1
+        # a register output is at least top - 1 and x <= N - 1 <= top - 2
+        return kind == "int" and value == hidden[0]
+    z = hidden[0] * hidden[1] % N  # target top + table[z] - 1
+    if kind == "reg":
+        return value == z  # encodings are injective
+    t = value - top + 1
     return (z, t) if 0 <= t < top else False
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .cylinder import _content_lines, writable, writable_length
+from .cylinder import _content_lines, read_int, writable, writable_length
 from .numbering import phi_escape
 
 
@@ -171,10 +171,7 @@ def load_schedule_table(path: str | Path) -> Schedule:
         parts = line.replace(",", " ").split()
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'k d N', got {line!r}")
-        try:
-            k, d, value = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
+        k, d, value = (read_int(p, f"{path}:{lineno}: field") for p in parts)
         pair_table[(k, d)] = value
     return Schedule.custom(pair_table=pair_table)
 

@@ -2,18 +2,21 @@
 
 Programs act on a cyclic group of order N presented through an encoding
 function sigma: registers hold group-element handles obtained from the
-inputs or from the add/inv oracles, never forged strings.  Equality
-branches compare handles, coin branches consume an explicit finite coin
-tape, and a run ends at an output instruction.
+inputs or from the add oracle, never forged strings.  Equality branches
+compare handles, coin branches consume an explicit finite coin tape, and
+a run ends at an output instruction.
 
 Outputs are naturals under the usual string/natural identification, so a
 program can answer either with a plain integer (``out_int``) or with the
 encoding string held in a register (``out_reg``).
 
-Control flow is forward-only: branch targets must point past the current
-instruction.  That keeps every path finite and makes the declared step
-bound checkable, at the price of requiring loops to be unrolled (all
-built-in programs are generated that way).
+Control flow is forward-only, so no run is longer than its program
+(loops are unrolled when a program is built).  ``GenericProgram`` checks
+the contract once: every instruction is well formed, every path reaches
+an output and reads only registers written on that path, and
+``coin_count`` covers the most coin branches on any path.  An
+interpreter checks only its arguments: inputs in Z_N and a coin tape of
+``coin_count`` bits.
 
 The module has one fast interpreter and one reference.  ``run_symbolic``
 simulates handles by their discrete logs without any encoding and
@@ -33,11 +36,15 @@ from typing import Iterator, Sequence
 from .cylinder import Bits, EncodingFunction
 from .numbering import string_to_nat
 
-OP_INPUT, OP_ADD, OP_INV, OP_CONST, OP_EQ, OP_COIN, OP_OUT_INT, OP_OUT_REG = range(8)
+OP_INPUT, OP_ADD, OP_EQ, OP_COIN, OP_OUT_INT, OP_OUT_REG = range(6)
 
-_VALUE_OPS = (OP_INPUT, OP_ADD, OP_INV, OP_CONST)
+# Operand types of (OP_INPUT, i), (OP_ADD, r, s), (OP_EQ, r, s, target),
+# (OP_COIN, target), (OP_OUT_INT, base or None for N, reduce), (OP_OUT_REG, r)
+_SHAPES = {OP_INPUT: (int,), OP_ADD: (int, int), OP_EQ: (int, int, int), OP_COIN: (int,),
+           OP_OUT_INT: ((int, type(None)), bool), OP_OUT_REG: (int,)}
+_READS = {OP_ADD: slice(1, 3), OP_EQ: slice(1, 3), OP_OUT_REG: slice(1, 2)}
+_OUTPUTS = (OP_OUT_INT, OP_OUT_REG)
 
-# out_int value expression: (base, reduce) with base None standing for N.
 Instruction = tuple
 
 
@@ -45,19 +52,7 @@ class ProgramError(ValueError):
     """A program failed static validation."""
 
 
-class ExecutionError(RuntimeError):
-    """A program misbehaved at run time."""
-
-
-class CoinsExhausted(ExecutionError):
-    pass
-
-
-class StepBoundExceeded(ExecutionError):
-    pass
-
-
-class InvalidEncoding(ExecutionError):
+class InvalidEncoding(RuntimeError):
     """An oracle was called on a string outside the group's encoding."""
 
 
@@ -67,12 +62,8 @@ class GenericProgram:
     instructions: tuple[Instruction, ...]
     n_inputs: int
     coin_count: int = 0
-    step_bound: int = 0
 
     def __post_init__(self) -> None:
-        if self.step_bound == 0:
-            # Forward-only control flow: no path is longer than the program.
-            object.__setattr__(self, "step_bound", len(self.instructions))
         _validate(self)
 
 
@@ -80,32 +71,49 @@ def _validate(prog: GenericProgram) -> None:
     instrs = prog.instructions
     if not instrs:
         raise ProgramError("empty program")
-    produced = 0
+    if prog.n_inputs < 1 or prog.coin_count < 0:
+        raise ProgramError(f"need n_inputs >= 1 and coin_count >= 0 in {prog.name}")
+    size = len(instrs)
+    for idx, ins in enumerate(instrs):
+        if not ins or ins[0] not in _SHAPES:
+            raise ProgramError(f"instr {idx}: unknown opcode in {ins!r}")
+        shape = _SHAPES[ins[0]]
+        if len(ins) != 1 + len(shape) or not all(map(isinstance, ins[1:], shape)):
+            raise ProgramError(f"instr {idx}: {ins!r} has the wrong operands")
+    # values[i]: value ops before instruction i, so a path that ran all of
+    # them reaches i holding registers r0 .. r(values[i] - 1)
+    values = list(itertools.accumulate((ins[0] in (OP_INPUT, OP_ADD) for ins in instrs), initial=0))
+    skipped = [False] * size  # some path to i skipped a value op
+    coins = [0] * size  # most coin branches on a path to i
     for idx, ins in enumerate(instrs):
         op = ins[0]
-        if op == OP_INPUT:
-            if not 0 <= ins[1] < prog.n_inputs:
-                raise ProgramError(f"instr {idx}: input index {ins[1]} out of range")
-        elif op in (OP_ADD, OP_INV, OP_OUT_REG):
-            for reg in ins[1:3] if op == OP_ADD else ins[1:2]:
-                if not 0 <= reg < produced:
+        if op == OP_INPUT and not 0 <= ins[1] < prog.n_inputs:
+            raise ProgramError(f"instr {idx}: input index {ins[1]} out of range")
+        if op in _READS:
+            for reg in ins[_READS[op]]:
+                if not 0 <= reg < values[idx]:
                     raise ProgramError(f"instr {idx}: register r{reg} read before write")
-        elif op == OP_EQ:
-            for reg in ins[1:3]:
-                if not 0 <= reg < produced:
-                    raise ProgramError(f"instr {idx}: register r{reg} read before write")
+            if skipped[idx]:
+                raise ProgramError(f"instr {idx}: read after a branch skipped a value op")
+        if op in _OUTPUTS:
+            if coins[idx] > prog.coin_count:
+                raise ProgramError(
+                    f"a path takes {coins[idx]} coins, past coin count {prog.coin_count}"
+                )
+            continue
+        if idx == size - 1:
+            raise ProgramError("last instruction must be an output")
+        taken = coins[idx] + (op == OP_COIN)
+        skipped[idx + 1] |= skipped[idx]
+        coins[idx + 1] = max(coins[idx + 1], taken)
         if op in (OP_EQ, OP_COIN):
-            target = ins[3] if op == OP_EQ else ins[1]
-            if not idx < target < len(instrs):
+            target = ins[-1]
+            if not idx < target < size:
                 raise ProgramError(
                     f"instr {idx}: branch target {target} must be forward and in range"
                 )
-        if op in _VALUE_OPS:
-            produced += 1
-        if idx == len(instrs) - 1 and op not in (OP_OUT_INT, OP_OUT_REG):
-            raise ProgramError("last instruction must be an output")
-    if prog.step_bound < len(instrs):
-        raise ProgramError("step bound smaller than the longest possible path")
+            skipped[target] |= skipped[idx] or values[target] > values[idx + 1]
+            coins[target] = max(coins[target], taken)
 
 
 @dataclass(frozen=True)
@@ -155,17 +163,14 @@ def run_symbolic(
         raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
     if any(not 0 <= x < N for x in inputs):
         raise ValueError("inputs must be group elements in Z_N")
+    if len(coins) != prog.coin_count:
+        raise ValueError(f"expected a coin tape of {prog.coin_count}, got {len(coins)}")
     instrs = prog.instructions
     regs: list[int] = []
     ip = 0
     coin_idx = 0
     queries = 0
-    steps = 0
-    bound = prog.step_bound
     while True:
-        if steps >= bound:
-            raise StepBoundExceeded(f"{prog.name}: exceeded {bound} steps")
-        steps += 1
         ins = instrs[ip]
         op = ins[0]
         if op == OP_ADD:
@@ -177,14 +182,7 @@ def run_symbolic(
                 continue
         elif op == OP_INPUT:
             regs.append(inputs[ins[1]])
-        elif op == OP_INV:
-            regs.append(-regs[ins[1]] % N)
-            queries += 1
-        elif op == OP_CONST:
-            regs.append(ins[1] % N)
         elif op == OP_COIN:
-            if coin_idx >= len(coins):
-                raise CoinsExhausted(f"{prog.name}: coin tape of {len(coins)} exhausted")
             bit = coins[coin_idx]
             coin_idx += 1
             if bit == "1":
@@ -201,7 +199,7 @@ def run_symbolic(
 
 
 class GroupOracle:
-    """String-level add/inv oracles for one (N, sigma) instance.
+    """String-level add oracle for one (N, sigma) instance.
 
     Every argument is validated against the encoding's image of Z_N; a
     string from outside it raises :class:`InvalidEncoding`.
@@ -228,10 +226,6 @@ class GroupOracle:
         self.queries += 1
         return self.encode(self.decode(a) + self.decode(b))
 
-    def inv(self, a: Bits) -> Bits:
-        self.queries += 1
-        return self.encode(-self.decode(a))
-
 
 def run_generic_reference(
     prog: GenericProgram,
@@ -246,32 +240,24 @@ def run_generic_reference(
         raise ValueError(f"expected {prog.n_inputs} inputs, got {len(inputs)}")
     if any(not 0 <= x < N for x in inputs):
         raise ValueError("inputs must be group elements in Z_N")
+    if len(coins) != prog.coin_count:
+        raise ValueError(f"expected a coin tape of {prog.coin_count}, got {len(coins)}")
     instrs = prog.instructions
     regs: list[Bits] = []
     ip = 0
     coin_idx = 0
-    steps = 0
     while True:
-        if steps >= prog.step_bound:
-            raise StepBoundExceeded(f"{prog.name}: exceeded {prog.step_bound} steps")
-        steps += 1
         ins = instrs[ip]
         op = ins[0]
         if op == OP_INPUT:
             regs.append(oracle.encode(inputs[ins[1]]))
         elif op == OP_ADD:
             regs.append(oracle.add(regs[ins[1]], regs[ins[2]]))
-        elif op == OP_INV:
-            regs.append(oracle.inv(regs[ins[1]]))
-        elif op == OP_CONST:
-            regs.append(oracle.encode(ins[1]))
         elif op == OP_EQ:
             if regs[ins[1]] == regs[ins[2]]:
                 ip = ins[3]
                 continue
         elif op == OP_COIN:
-            if coin_idx >= len(coins):
-                raise CoinsExhausted(f"{prog.name}: coin tape of {len(coins)} exhausted")
             bit = coins[coin_idx]
             coin_idx += 1
             if bit == "1":
@@ -289,10 +275,5 @@ def run_generic_reference(
 
 
 def coin_tapes(count: int) -> Iterator[str]:
-    """All coin tapes of the given length ('' when count is zero)."""
-    if count == 0:
-        yield ""
-        return
-    for bits in itertools.product("01", repeat=count):
-        yield "".join(bits)
-
+    """All coin tapes of the given length ('' alone when count is zero)."""
+    return ("".join(bits) for bits in itertools.product("01", repeat=count))

@@ -430,6 +430,25 @@ class TestScheduleAndBounds:
         assert code == 2 and not out
         assert err.startswith("error: ") and "digits, the most Python writes out" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [f"schedule --k 1{'0' * 4400} --d 4", "schedule --k 1 --d 4 --schedule file:{table}"],
+        ids=["k-4401-digits", "file-4401-digits"],
+    )
+    def test_numerals_past_the_size_rule_are_not_echoed(self, tmp_path, capsys, argv):
+        table = tmp_path / "table.txt"
+        table.write_text(f"1 4 1{'0' * 4400}\n")
+        try:
+            code = main(argv.replace("{table}", str(table)).split())
+        except SystemExit as exc:  # argparse refuses a flag's value itself
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert "has more than 4300 digits, the most Python reads" in err
+        assert "0" * 100 not in err
+        if "file:" in argv:
+            assert f"{table}:1: field has more" in err
+
     def test_markov_bad_fraction(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--check", "markov", "--values", "1/x",

@@ -514,6 +514,19 @@ def test_one_table_entry_per_win(n, idx):
     assert plan.average() == Fraction(hits, plan.den * len(all_encodings(n)))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_win_entries_at_the_ends_of_the_width_n_strings(n):
+    """An integer output wins a cdh run iff it names the n-bit string
+    sigma(xy), i.e. lies in [top - 1, 2 top - 2]; a dlog register output
+    never wins, since it names a natural of at least top - 1 > x."""
+    top, N, x, y = 1 << n, (1 << n) - 1, 2, 3
+    z = x * y % N
+    for value, entry in [(top - 2, False), (top - 1, (z, 0)), (2 * top - 2, (z, top - 1)),
+                         (2 * top - 1, False)]:
+        assert _win_entry("cdh", "int", value, N, (x, y), top) == entry
+    assert [_win_entry("dlog", "reg", v, N, (x,), top) for v in range(N)] == [False] * N
+
+
 class TestSampledBudget:
     """One instance budget, checked by the plan, for every question."""
 

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-every name the benchmark looks up in the package exists, and every name
-the package defines is read by the package or the benchmark."""
+every name the benchmark looks up in the package exists, every name
+the package defines is read by the package or the benchmark, and every
+opcode the machine defines is emitted by a program builder."""
 
 import ast
 import importlib
@@ -202,3 +203,50 @@ def test_every_library_name_has_a_caller_outside_tests():
     # a name found and not listed is read by tests only; one listed and
     # not found has a caller again and leaves the list
     assert set(found) == set(TEST_ONLY), {n: found.get(n, "read") for n in set(found) ^ set(TEST_ONLY)}
+
+
+# ---------------------------------------------------------------------------
+# Opcodes no builder emits
+# ---------------------------------------------------------------------------
+
+
+def opcodes(source: str) -> list[str]:
+    """Module-level ``OP_*`` names, in the order they are bound."""
+    return [name for name in definitions(source) if name.startswith("OP_")]
+
+
+def emitted_opcodes(source: str) -> set[str]:
+    """``OP_*`` names that head an instruction a method of ``_Asm`` passes
+    to ``self._emit`` or ``self._value``."""
+    (cls,) = [n for n in ast.parse(source).body if isinstance(n, ast.ClassDef) and n.name == "_Asm"]
+    return {
+        call.args[0].elts[0].id
+        for call in ast.walk(cls)
+        if isinstance(call, ast.Call)
+        and ast.unparse(call.func) in ("self._emit", "self._value")
+        and isinstance(call.args[0], (ast.List, ast.Tuple))
+        and isinstance(call.args[0].elts[0], ast.Name)
+    }
+
+
+def test_the_scan_sees_an_opcode_no_builder_emits():
+    machine = "OP_A, OP_B, OP_PLANTED = range(3)\nOP_C: int = 3\n"
+    builder = (
+        "class _Asm:\n"
+        "    def a(self):\n        return self._value([OP_A, 0])\n"
+        "    def c(self):\n        self._emit((OP_C,))\n"
+        "    def build(self):\n        return [i for i in self.instrs if i[0] in (OP_B, OP_PLANTED)]\n"
+        "    def b(self, label):\n        self._emit([OP_B, label])\n"
+    )
+    assert opcodes(machine) == ["OP_A", "OP_B", "OP_PLANTED", "OP_C"]
+    assert [op for op in opcodes(machine) if op not in emitted_opcodes(builder)] == ["OP_PLANTED"]
+
+
+def test_every_opcode_has_a_builder():
+    # an opcode no builder emits runs in no program; it goes, with its
+    # branches in both interpreters, rather than stay untested
+    package = ROOT / "src" / "oraclediag"
+    emitted = emitted_opcodes((package / "programs.py").read_text(encoding="utf-8"))
+    defined = opcodes((package / "vm.py").read_text(encoding="utf-8"))
+    assert len(defined) >= 6
+    assert [op for op in defined if op not in emitted] == []

@@ -17,7 +17,6 @@ from oraclediag.vm import (
     OP_INPUT,
     OP_OUT_INT,
     OP_OUT_REG,
-    CoinsExhausted,
     GenericProgram,
     GroupOracle,
     InvalidEncoding,
@@ -99,17 +98,67 @@ class TestValidation:
         with pytest.raises(ProgramError):
             GenericProgram("bad", ((OP_INPUT, 2), (OP_OUT_INT, 0, False)), n_inputs=2)
 
+    def test_register_missing_on_a_path_that_skipped_it(self):
+        # the taken branch skips r1, so the output would read a register
+        # that path never wrote
+        skip = ((OP_INPUT, 0), (OP_EQ, 0, 0, 3), (OP_INPUT, 1), (OP_OUT_REG, 1))
+        with pytest.raises(ProgramError, match="skipped a value op"):
+            GenericProgram("skip", skip, n_inputs=2)
+        read_later = skip[:3] + ((OP_ADD, 0, 0), (OP_OUT_INT, 0, False))
+        with pytest.raises(ProgramError, match="skipped a value op"):
+            GenericProgram("skip", read_later, n_inputs=2)
+        # a later branch that skips nothing still carries the skip on
+        carried = ((OP_INPUT, 0), (OP_COIN, 3), (OP_INPUT, 1), (OP_COIN, 5),
+                   (OP_OUT_INT, 0, False), (OP_OUT_REG, 1))
+        with pytest.raises(ProgramError, match="skipped a value op"):
+            GenericProgram("carried", carried, n_inputs=2, coin_count=2)
+        # skipping into a tail that reads no register is fine
+        GenericProgram("tail", skip[:3] + ((OP_OUT_INT, 0, False),), n_inputs=2)
+
+    @pytest.mark.parametrize(
+        "instructions",
+        [
+            ((OP_INPUT, 0), (99, 0), (OP_OUT_INT, 0, False)),
+            ((OP_INPUT, 0), (OP_ADD, 0), (OP_OUT_INT, 0, False)),
+            ((OP_OUT_INT,),),
+            ((OP_INPUT, 0), (), (OP_OUT_REG, 0)),
+            ((OP_INPUT, 0), (OP_OUT_REG, 0, 0)),
+            ((OP_INPUT, 0.0), (OP_OUT_REG, 0)),
+            ((OP_INPUT, 0), (OP_OUT_REG, "0")),
+            ((OP_OUT_INT, "5", False),),
+        ],
+        ids=[
+            "unknown-opcode", "short-add", "short-out-int", "empty-tuple", "long-out-reg",
+            "float-input-index", "string-register", "string-base",
+        ],
+    )
+    def test_malformed_instructions(self, instructions):
+        with pytest.raises(ProgramError):
+            GenericProgram("bad", instructions, n_inputs=2)
+
+    @pytest.mark.parametrize("n_inputs,coin_count", [(0, 0), (-1, 0), (2, -1)])
+    def test_counts_out_of_range(self, n_inputs, coin_count):
+        with pytest.raises(ProgramError):
+            GenericProgram("bad", ((OP_OUT_INT, 0, False),), n_inputs, coin_count)
+
 
 def test_coin_exhaustion():
-    prog = GenericProgram(
-        "flip",
-        ((OP_COIN, 2), (OP_OUT_INT, 0, False), (OP_OUT_INT, 1, False)),
-        n_inputs=1,
-        coin_count=1,
-    )
-    assert run_generic(prog, 2, E2[0], (0,), "1").output == 1
-    with pytest.raises(CoinsExhausted):
-        run_generic(prog, 2, E2[0], (0,), "")
+    # a path that takes more coins than the program declares is refused
+    # when the program is built, so no run can use up its tape; the
+    # deepest path falls through the first coin in one program and takes
+    # it in the other
+    out = [(OP_OUT_INT, v, False) for v in range(3)]
+    for flips in (((OP_COIN, 2), (OP_COIN, 3), out[0], out[1]),
+                  ((OP_COIN, 2), out[0], (OP_COIN, 4), out[1], out[2])):
+        with pytest.raises(ProgramError, match="a path takes 2 coins, past coin count 1"):
+            GenericProgram("flip", flips, n_inputs=1, coin_count=1)
+        prog = GenericProgram("flip", flips, n_inputs=1, coin_count=2)
+        outputs = {run_generic(prog, 2, E2[0], (0,), tape).output for tape in coin_tapes(2)}
+        assert outputs == set(range(len(flips) - 2))
+        for tape in ("", "0", "011"):
+            for run in (run_generic, run_generic_reference):
+                with pytest.raises(ValueError, match="coin tape of 2"):
+                    run(prog, 2, E2[0], (0,), tape)
 
 
 def test_random_guess_covers_all_tapes():
@@ -123,12 +172,11 @@ def test_random_guess_covers_all_tapes():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_soundness_exhaustive(n):
-    """add/inv must realize the group law for every encoding of width <= 3."""
+    """add must realize the group law for every encoding of width <= 3."""
     N = 2**n
     for sigma in all_encodings(n):
         oracle = GroupOracle(N, sigma)
         for x in range(N):
-            assert oracle.inv(sigma.encode(x)) == sigma.encode(-x % N)
             for y in range(N):
                 assert oracle.add(sigma.encode(x), sigma.encode(y)) == sigma.encode(
                     (x + y) % N
