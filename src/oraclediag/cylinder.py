@@ -44,10 +44,7 @@ Escapes read a finite set through one protocol, which both
 * ``covers(t)``, true iff a member is a prefix of ``t``;
 * ``least_open(prefix)``, the least child cell ``t`` of ``prefix`` (in
   :func:`child` order) whose mass is below its volume, as
-  ``(t, index, child count, mass)``, or None if the set fills every one;
-* ``uniform_open``, true when every cell of one length that the set does
-  not fill holds the same mass, so a cell the set fills holds at least
-  the mass of any other cell of its length.
+  ``(t, index, child count, mass)``, or None if the set fills every one.
 
 A cell of the other kind is refused.  :func:`open_view` picks the view of
 a finite set, and :func:`open_union` the form of a union; no other code
@@ -369,7 +366,6 @@ class SortedPrefixFree:
     """
 
     __slots__ = ("kind", "keys", "cum", "den")
-    uniform_open = False
 
     def __init__(self, members: Iterable, kind: str | None = None):
         pool = members if isinstance(members, frozenset) else frozenset(members)
@@ -619,7 +615,6 @@ class FamilyPatternSet:
 
     __slots__ = ("levels",)
     kind = "family"
-    uniform_open = True  # an open cell of length L holds its volume * (1 - miss_after(L))
 
     def __init__(self, levels: Mapping[int, tuple[Sequence[int], Iterable[Sequence[int]]]]):
         checked: dict[int, tuple[tuple[int, ...], frozenset[tuple[int, ...]]]] = {}

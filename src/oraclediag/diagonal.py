@@ -16,16 +16,18 @@ protocol of ``cylinder`` (``open_view``): a member set sorted once, or a
 compact generic-group set as it is.  A mode supplies only its check that
 the measure is below 1 and its choice at each level.  Exact mode takes
 the ``least_open`` child of the whole set.  Approx mode certifies
-candidates in order, and skips those a stage that ``uniform_open``
-licenses shows rejected; it doubles k up to a ceiling derived from the
-set and the depth, where only full cells are undecided, so both modes
-choose alike.  A transcript records, per step, the number of
-candidates, the chosen index, the certified conditional measure, and
-the cell volume; the step invariant "trapped mass < cell volume" is
-what makes the prefix extendable forever, and `verify_escape` re-checks
-the finite claim against the raw member set by looking up the prefixes
-of the escape in it.  Children are built from their ranks, so no
-encoding is listed.
+candidates in order, doubling k up to a ceiling derived from the set
+and the depth, where only full cells are undecided, so both modes
+choose alike.  The stage search keeps ``f(t, k) - 2**-k`` below the
+mass its stage holds in t's cell, so no child is rejected before that
+ceiling; after a rejection the walk goes on at the least child the
+consulted stage leaves open, as every child that stage fills is full.
+A transcript records, per step, the number of candidates, the chosen
+index, the certified conditional measure, and the cell volume; the
+step invariant "trapped mass < cell volume" is what makes the prefix
+extendable forever, and `verify_escape` re-checks the finite claim
+against the raw member set by looking up the prefixes of the escape in
+it.  Children are built from their ranks, so no encoding is listed.
 
 Every denominator a transcript writes out divides ``D``, the larger of
 the last stage's ``den`` and the cell count at the depth.  The driver
@@ -42,7 +44,6 @@ from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Callable, Iterable
 
 from .cylinder import (
@@ -97,7 +98,7 @@ class EnumeratedOpenSet:
     measure_approx: Callable[[int], Fraction]
     # precision k -> _stage_for result; lives and dies with this set
     _stage_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # stage index m -> _stage_view result, sorted when the set was built
+    # stage index m -> _stage_view result, built once
     _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -124,19 +125,21 @@ def conditional_measure_exact(members: Iterable, t) -> Fraction:
 
 
 def _stage_view(S: EnumeratedOpenSet, m: int):
-    """Stage m's ``open_view`` (a finite set's, built with it)."""
-    found = S._stages.get(m)
-    return open_view(S.stages[m - 1], S.kind) if found is None else found
+    """Stage m's ``open_view``, built on first use and kept on ``S``."""
+    view = S._stages.get(m)
+    if view is None:
+        view = S._stages[m] = open_view(S.stages[m - 1], S.kind)
+    return view
 
 
-def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, object, Fraction, Fraction]:
+def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[object, Fraction, Fraction]:
     """Stage search: the first stage heavy enough for precision k.
 
     Uses the exact partition identity "sum of per-cell masses at any
     depth equals the total mass", so the per-cell sum never has to be
-    enumerated cell by cell.  Returns (stage index, the stage's
-    ``_stage_view``, its measure, the approximator's value), memoized on
-    ``S`` so that nothing outlives the open set it was computed for.
+    enumerated cell by cell.  Returns (the stage's ``_stage_view``, its
+    measure, the approximator's value), memoized on ``S`` so that
+    nothing outlives the open set it was computed for.
     """
     found = S._stage_memo.get(k)
     if found is not None:
@@ -147,7 +150,7 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, object, Fraction, Fra
         view = _stage_view(S, m)
         stage_measure = view.measure()
         if stage_measure > threshold:
-            found = S._stage_memo[k] = (m, view, stage_measure, g)
+            found = S._stage_memo[k] = (view, stage_measure, g)
             return found
     raise StageCapExceeded(
         f"no stage within {len(S.stages)} reached measure above {threshold};"
@@ -157,7 +160,7 @@ def _stage_for(S: EnumeratedOpenSet, k: int) -> tuple[int, object, Fraction, Fra
 
 def conditional_measure_approx(S: EnumeratedOpenSet, t, k: int) -> Fraction:
     """Rational within 2**-k of the mass of the set inside the cell of t."""
-    _, view, stage_measure, g = _stage_for(S, k)
+    view, stage_measure, g = _stage_for(S, k)
     return g - (stage_measure - view.cell_mass(t))
 
 
@@ -205,20 +208,18 @@ class EscapeTranscript:
 K_START = 8  # the first precision tried; each retry doubles it
 
 
-def _certify(S: EnumeratedOpenSet, t, cell: Fraction, ceiling: int, tried: list):
-    """``(f, k)`` once precision k certifies ``f(t, k) + 2**-k < cell``;
-    None once one certifies ``f - 2**-k >= cell`` or a k of at least
-    ``ceiling`` leaves it undecided, as only a full cell is: exact mode
-    rejects it too.  Every precision used is appended to ``tried``."""
+def _certify(S: EnumeratedOpenSet, t, cell: Fraction, ceiling: int):
+    """``(f, k)`` for the first precision k = 8, 16, ... that certifies
+    ``f(t, k) + 2**-k < cell``, or ``(None, k)`` for the first k of at
+    least ``ceiling`` if none does: only a full cell is undecided there,
+    and exact mode rejects it too."""
     k = K_START
     while True:
-        tried.append(k)
-        eps = Fraction(1, 2**k)
         f_val = conditional_measure_approx(S, t, k)
-        if f_val + eps < cell:
+        if f_val + Fraction(1, 2**k) < cell:
             return f_val, k
-        if f_val - eps >= cell or k >= ceiling:
-            return None
+        if k >= ceiling:
+            return None, k
         k *= 2
 
 
@@ -226,32 +227,26 @@ def _approx_choice(S: EnumeratedOpenSet, prefix, ceiling: int):
     """Approx-mode choice at one level: the least child of ``prefix`` that
     certifies, as ``(cell, index, count, f, k)``; None if none does.
 
-    Children are certified in order, and ``f(t, k)`` grows with the mass
-    the stage for k holds in t's cell.  When every stage a rejected t
-    consulted is ``uniform_open``, every cell holds at least t's mass in
-    those that leave t open.  So if none filled t, every child is
-    rejected; else a child that the first stage to fill t fills too is
-    filled wherever t was (the stages grow), and is rejected: the walk
-    goes on at that stage's ``least_open``.
+    Children are certified in order.  The stage for k measures above
+    ``g(k) - 2**-k``, so ``f(t, k) - 2**-k`` stays below the mass that
+    stage holds in t's cell: no precision rejects a child early, and
+    every rejected child is rejected at the same k, the first at or past
+    ``ceiling``.  A child that the stage for that k fills is full (every
+    stage lies inside the set), so it never certifies: the walk goes on
+    at that stage's ``least_open``, or at the next child when a stage
+    with members longer than the set's leaves the rejected one open.
     """
     count = child_count(prefix)
     index, t = 0, child(prefix, 0)
     cell = cell_volume(t)
     while True:
-        tried: list[int] = []
-        found = _certify(S, t, cell, ceiling, tried)
-        if found is not None:
-            return t, index, count, *found
-        stages = [_stage_for(S, k)[:2] for k in tried]
-        if all(view.uniform_open for _, view in stages):
-            filled = [(m, view) for m, view in stages if view.cell_mass(t) == cell]
-            jump = min(filled, key=itemgetter(0))[1].least_open(prefix) if filled else None
-            if jump is None:
-                return None
-            if jump[1] > index:
-                t, index = jump[:2]
-                continue
-        index += 1
+        f_val, k = _certify(S, t, cell, ceiling)
+        if f_val is not None:
+            return t, index, count, f_val, k
+        jump = _stage_for(S, k)[0].least_open(prefix)
+        if jump is None:
+            return None
+        index = max(jump[1], index + 1)
         if index == count:
             return None
         t = child(prefix, index)

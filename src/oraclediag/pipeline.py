@@ -10,9 +10,9 @@ escape actually has to steer around nonempty constraint sets.
 The registry adversaries are Diffie-Hellman table-guessers gated on
 y = 1: their per-encoding success counts how many of four pinned
 positions the encoding sends to the guessed strings, which makes the
-over-threshold set a thin, nonempty slice of the encodings. Entries
-answer the always-invalid program beyond the horizon, so the assembled
-set is provably finite.
+over-threshold set a thin, nonempty slice of the encodings.  The test
+family is empty outside levels 2 to the horizon, so the assembled set
+is provably finite.
 
 Constraint blocks are compact (``FamilyPatternSet``): the few bad
 assignments to the table entries a program reads, never the member
@@ -40,7 +40,7 @@ from .diagonal import (
     verify_escape,
 )
 from .numbering import phi_escape
-from .programs import cdh_invalid, cdh_pin_table
+from .programs import cdh_pin_table
 from .schedules import Schedule, named_schedule
 from .vm import GenericProgram
 
@@ -52,25 +52,21 @@ class GgmAdversary:
     program_for: Callable[[int], GenericProgram]
 
 
-def _pin_program(n: int, horizon: int, reverse: bool) -> GenericProgram:
-    if not 2 <= n <= horizon:
-        return cdh_invalid()
-    targets = all_bit_strings(n)[: 2**n]
+def _pin_program(n: int, reverse: bool) -> GenericProgram:
+    if n < 2:
+        raise ValueError(f"width {n} has fewer than the 4 strings to pin")
+    targets = all_bit_strings(n)
     if reverse:
         targets = targets[::-1]
     pins = [(j, targets[j - 1]) for j in range(1, 5)]
     return cdh_pin_table(pins)
 
 
-def toy_registry(horizon: int = 3) -> tuple[GgmAdversary, ...]:
+def toy_registry() -> tuple[GgmAdversary, ...]:
     """Two gated table-guessers with thin over-threshold encoding sets."""
     return (
-        GgmAdversary(
-            "pin_forward", "cdh", lambda n: _pin_program(n, horizon, reverse=False)
-        ),
-        GgmAdversary(
-            "pin_reverse", "cdh", lambda n: _pin_program(n, horizon, reverse=True)
-        ),
+        GgmAdversary("pin_forward", "cdh", lambda n: _pin_program(n, reverse=False)),
+        GgmAdversary("pin_reverse", "cdh", lambda n: _pin_program(n, reverse=True)),
     )
 
 
@@ -149,7 +145,7 @@ def run_pipeline(
     where ``cylinder``'s size rule stops family escapes; a block past the
     width the instance budget admits refuses the ``horizon``.
     """
-    registry = toy_registry(horizon)
+    registry = toy_registry()
     testfamily = registry_testfamily(registry, horizon)
     if schedule == "compressed":
         f_schedule, g_schedule = compressed_schedules(m_max, horizon)

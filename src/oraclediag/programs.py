@@ -75,7 +75,7 @@ class _Asm:
     def label(self, name: str) -> None:
         self.labels[name] = len(self.instrs)
 
-    def build(self, name: str, n_inputs: int, coin_count: int = 0) -> GenericProgram:
+    def build(self, name: str, n_inputs: int) -> GenericProgram:
         resolved: list[Instruction] = []
         for ins in self.instrs:
             if ins[0] == OP_EQ:
@@ -84,12 +84,7 @@ class _Asm:
                 resolved.append((OP_COIN, self.labels[ins[1]]))
             else:
                 resolved.append(tuple(ins))
-        return GenericProgram(
-            name=name,
-            instructions=tuple(resolved),
-            n_inputs=n_inputs,
-            coin_count=coin_count,
-        )
+        return GenericProgram(name=name, instructions=tuple(resolved), n_inputs=n_inputs)
 
 
 def const_guess(c: int) -> GenericProgram:
@@ -124,7 +119,7 @@ def random_guess(b: int) -> GenericProgram:
         emit(bits + "1")
 
     emit("")
-    return a.build(f"random_guess({b})", n_inputs=2, coin_count=b)
+    return a.build(f"random_guess({b})", n_inputs=2)
 
 
 def linear_search(m: int) -> GenericProgram:

@@ -13,8 +13,8 @@ encoding string held in a register (``out_reg``).
 Control flow is forward-only, so no run is longer than its program
 (loops are unrolled when a program is built).  ``GenericProgram`` checks
 the contract once: every instruction is well formed, every path reaches
-an output and reads only registers written on that path, and
-``coin_count`` covers the most coin branches on any path.  An
+an output and reads only registers written on that path.  It derives
+``coin_count``, the most coin branches on any path.  An
 interpreter checks only its arguments: inputs in Z_N and a coin tape of
 ``coin_count`` bits.
 
@@ -30,7 +30,7 @@ it exists so the fast path can be checked against an independent one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .cylinder import Bits, EncodingFunction
@@ -61,18 +61,20 @@ class GenericProgram:
     name: str
     instructions: tuple[Instruction, ...]
     n_inputs: int
-    coin_count: int = 0
+    coin_count: int = field(init=False)  # the most coin branches on any path
 
     def __post_init__(self) -> None:
-        _validate(self)
+        object.__setattr__(self, "coin_count", _validate(self))
 
 
-def _validate(prog: GenericProgram) -> None:
+def _validate(prog: GenericProgram) -> int:
+    """Refuse a program that breaks the contract; else return the most
+    coin branches on a path to an output."""
     instrs = prog.instructions
     if not instrs:
         raise ProgramError("empty program")
-    if prog.n_inputs < 1 or prog.coin_count < 0:
-        raise ProgramError(f"need n_inputs >= 1 and coin_count >= 0 in {prog.name}")
+    if prog.n_inputs < 1:
+        raise ProgramError(f"need n_inputs >= 1 in {prog.name}")
     size = len(instrs)
     for idx, ins in enumerate(instrs):
         if not ins or ins[0] not in _SHAPES:
@@ -84,7 +86,8 @@ def _validate(prog: GenericProgram) -> None:
     # them reaches i holding registers r0 .. r(values[i] - 1)
     values = list(itertools.accumulate((ins[0] in (OP_INPUT, OP_ADD) for ins in instrs), initial=0))
     skipped = [False] * size  # some path to i skipped a value op
-    coins = [0] * size  # most coin branches on a path to i
+    coins = [0] + [-1] * (size - 1)  # most coin branches on a path to i; -1: no path
+    most = 0
     for idx, ins in enumerate(instrs):
         op = ins[0]
         if op == OP_INPUT and not 0 <= ins[1] < prog.n_inputs:
@@ -96,14 +99,11 @@ def _validate(prog: GenericProgram) -> None:
             if skipped[idx]:
                 raise ProgramError(f"instr {idx}: read after a branch skipped a value op")
         if op in _OUTPUTS:
-            if coins[idx] > prog.coin_count:
-                raise ProgramError(
-                    f"a path takes {coins[idx]} coins, past coin count {prog.coin_count}"
-                )
+            most = max(most, coins[idx])
             continue
         if idx == size - 1:
             raise ProgramError("last instruction must be an output")
-        taken = coins[idx] + (op == OP_COIN)
+        taken = coins[idx] + (op == OP_COIN) if coins[idx] >= 0 else -1
         skipped[idx + 1] |= skipped[idx]
         coins[idx + 1] = max(coins[idx + 1], taken)
         if op in (OP_EQ, OP_COIN):
@@ -114,6 +114,7 @@ def _validate(prog: GenericProgram) -> None:
                 )
             skipped[target] |= skipped[idx] or values[target] > values[idx + 1]
             coins[target] = max(coins[target], taken)
+    return most
 
 
 @dataclass(frozen=True)

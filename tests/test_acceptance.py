@@ -215,7 +215,7 @@ def test_criterion_7_approximation_tower():
             )
 
     # assembled family set: approximator against the brute-force union
-    registry = toy_registry(3)
+    registry = toy_registry()
     family = registry_testfamily(registry, 3)
     f_sched, g_sched = compressed_schedules()
     assembled = assemble_open_set(

@@ -20,6 +20,7 @@ from oraclediag.cylinder import (
 )
 from oraclediag.diagonal import (
     EnumeratedOpenSet,
+    EscapeContractViolation,
     EscapeStep,
     EscapeTranscript,
     KindMismatchError,
@@ -385,6 +386,68 @@ def test_each_candidate_is_certified_once(monkeypatch):
     # listing the width's 16! encodings, certifies at once
     transcript = escape_family({(E1[0],)}, depth=4, mode="approx")
     assert [step.chosen_index for step in transcript.steps] == [1, 0, 0, 0]
+
+
+def test_a_stage_with_longer_members_than_the_set_moves_the_walk_on():
+    # stage 1 holds 127 of the 128 cells "0" + 7 bits, the set is {"0"}:
+    # stage 1 leaves the rejected "0" open, so its least_open is "0" itself
+    long_ = frozenset(f"0{i:07b}" for i in range(127))
+    S = EnumeratedOpenSet(
+        kind="binary", stages=(long_, frozenset({"0"})), measure_approx=lambda k: Fraction(127, 256)
+    )
+    text = escape_binary(S, depth=1, mode="approx").to_text()
+    assert text.splitlines()[-1] == "step 1 candidates 2 chosen 1 F 0/1 cell 1/2 k 8"
+
+
+def test_a_lying_approximator_breaks_the_escape_contract():
+    # g(8) = 0 certifies the full cells "0", "00", ... until the cell
+    # volume reaches 2**-8; at k = 16 the stage {"0"} fills every child
+    S = EnumeratedOpenSet(
+        kind="binary",
+        stages=(frozenset(), frozenset({"0"})),
+        measure_approx=lambda k: Fraction(0) if k == 8 else Fraction(1, 2),
+    )
+    assert escape_binary(S, depth=7, mode="approx").prefix == "0" * 7
+    with pytest.raises(EscapeContractViolation, match="at depth 8"):
+        escape_binary(S, depth=8, mode="approx")
+    # {"0", "1"} fills the space.  g(8) = 1/2 - 2**-9 would certify "1"
+    # at k = 8, yet "0" is rejected at k = 16, whose stage fills both
+    # children: the walk ends there, with no false escape
+    full = EnumeratedOpenSet(
+        kind="binary",
+        stages=(frozenset({"0"}), frozenset({"0", "1"})),
+        measure_approx=lambda k: Fraction(255, 512) if k == 8 else 1 - Fraction(1, 2 ** (k + 1)),
+    )
+    with pytest.raises(EscapeContractViolation, match="at depth 1"):
+        escape_binary(full, depth=8, mode="approx")
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_an_escape_passes_five_thousand_full_children(mode):
+    prefix = (E1[0], E2[0])
+    members = frozenset(cylinder.child(prefix, i) for i in range(5000))
+    transcript = escape_family(members, depth=3, mode=mode)
+    assert [step.chosen_index for step in transcript.steps] == [0, 0, 5000]
+
+
+def test_each_stage_is_viewed_once(monkeypatch):
+    # ten stages, searched at k = 8 and at k = 16: a stage search that
+    # sorts each stage it scans afresh views some of them twice
+    members = [f"{i:04b}" for i in range(0, 14, 2)] + ["11111111", "1111111011"]
+    exact = measure(members)
+    S = EnumeratedOpenSet(
+        kind="binary",
+        stages=[frozenset(members[:m]) for m in range(1, 11)],
+        measure_approx=lambda k: exact - Fraction(k % 3, 2 ** (k + 2)),
+    )
+    viewed = []
+    open_view = diagonal.open_view
+    monkeypatch.setattr(
+        diagonal, "open_view", lambda stage, kind: viewed.append(stage) or open_view(stage, kind)
+    )
+    transcript = escape_binary(S, depth=12, mode="approx")
+    assert {step.precision for step in transcript.steps} == {8, 16}
+    assert len(viewed) == len(set(map(id, viewed))) <= len(S.stages)
 
 
 def test_stages_under_approximate_the_total():

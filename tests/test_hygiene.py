@@ -154,19 +154,28 @@ TEST_ONLY = {
 }
 
 
-def definitions(source: str) -> list[str]:
-    """Module-level functions, classes and constants, and the methods of
-    module-level classes (``Class.method``); dunders are left out, as the
-    language calls them."""
+def bound(body: list[ast.stmt]) -> list[str]:
+    """Names the functions, classes and assignments of ``body`` bind."""
     found = []
-    for node in ast.parse(source).body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             found.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            found += [f"{node.name}.{sub.name}" for sub in node.body if isinstance(sub, ast.FunctionDef)]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+def definitions(source: str) -> list[str]:
+    """Module-level functions, classes and constants, and what the body of
+    a module-level class binds (``Class.name``): its methods, class
+    attributes and dataclass fields.  Dunders are left out, as the
+    language reads them."""
+    found = []
+    for node in ast.parse(source).body:
+        found += bound([node])
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{name}" for name in bound(node.body)]
     return [name for name in found if not re.fullmatch(r"__\w+__", name.rsplit(".", 1)[-1])]
 
 
@@ -189,9 +198,11 @@ def test_the_scan_sees_a_name_only_tests_reach():
         "LIMIT = 3\nCOUNT: int = 4\n"
         "def used(): pass\ndef planted(): pass\ndef traced(): pass\n"
         "class Box:\n    def __len__(self): pass\n    def size(self): pass\n    def spare(self): pass\n"
+        "@dataclass\nclass Cell:\n    __slots__ = ()\n    kind = 'binary'\n    uniform = True\n"
+        "    den: int\n    unused: int = 0\n"
     )
-    read = names_read("used(LIMIT, COUNT)\nBox().size()\n") | {"traced"}
-    assert unread(defining, read) == ["planted", "Box.spare"]
+    read = names_read("used(LIMIT, COUNT)\nBox().size()\nc = Cell(1)\nc.kind, c.den\n") | {"traced"}
+    assert unread(defining, read) == ["planted", "Box.spare", "Cell.uniform", "Cell.unused"]
 
 
 def test_every_library_name_has_a_caller_outside_tests():

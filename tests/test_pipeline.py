@@ -42,7 +42,7 @@ class TestCompressed:
 
     def test_measure_approx_contract(self, compressed_report):
         """g(k) must stay within 2**-k of the brute-force union measure."""
-        registry = toy_registry(3)
+        registry = toy_registry()
         family = registry_testfamily(registry, 3)
         _, g_sched = compressed_schedules()
         union: set = set()
@@ -100,7 +100,7 @@ def test_bound_violation_detected():
 
 
 def test_escape_prefix_respects_every_materialized_block(compressed_report):
-    registry = toy_registry(3)
+    registry = toy_registry()
     family = registry_testfamily(registry, 3)
     prefix = compressed_report.transcript.prefix
     for (i, d, n) in compressed_report.materialized:

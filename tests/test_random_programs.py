@@ -4,11 +4,10 @@ interpreters and the instance plan to one another.
 ``drafts`` draws programs over every opcode, 2 or 3 inputs, forward
 branches, coins and both output kinds, with registers numbered as the
 validator numbers them.  A draft may still break the contract: a branch
-may skip a value op whose register a later instruction reads, or a path
-may take more coins than it declares.  ``GenericProgram`` must refuse
-exactly the drafts that cannot run, so every property below starts from
-what it admits (differential testing: McKeeman, "Differential testing
-for software", 1998).
+may skip a value op whose register a later instruction reads.
+``GenericProgram`` must refuse exactly the drafts that cannot run, so
+every property below starts from what it admits (differential testing:
+McKeeman, "Differential testing for software", 1998).
 """
 
 from fractions import Fraction
@@ -42,8 +41,9 @@ BASES = st.none() | st.integers(0, 16) | st.sampled_from([3, 7, 15])
 
 @st.composite
 def drafts(draw):
-    """(instructions, input count, coin count): a body of up to 8
-    instructions of any kind, then a tail of 1-3 outputs."""
+    """(instructions, input count): a body of up to 8 instructions of any
+    kind, at most three of them coin branches (so at most 8 coin tapes),
+    then a tail of 1-3 outputs."""
     n_inputs = draw(st.sampled_from([2, 3]))
     body = draw(st.integers(0, 8))
     size = body + draw(st.integers(1, 3))
@@ -52,7 +52,8 @@ def drafts(draw):
     for idx in range(size):
         kinds = ["out_int", "out_reg"] if written else ["out_int"]
         if idx < body:  # outputs in a body are rarer than the rest
-            kinds += ["input", "input", "coin", "coin"] + ["add", "add", "eq", "eq"] * (written > 0)
+            kinds += ["input", "input"] + ["coin", "coin"] * (sum(i[0] == OP_COIN for i in instrs) < 3)
+            kinds += ["add", "add", "eq", "eq"] * (written > 0)
         kind = draw(st.sampled_from(kinds))
         reg = st.integers(0, written - 1)
         target = st.integers(idx + 1, size - 1)
@@ -69,7 +70,7 @@ def drafts(draw):
         else:
             instrs.append((OP_OUT_REG, draw(reg)))
         written += kind in ("input", "add")
-    return tuple(instrs), n_inputs, draw(st.integers(0, 3))
+    return tuple(instrs), n_inputs
 
 
 def admit(draft) -> GenericProgram | None:
@@ -127,6 +128,24 @@ def test_every_admitted_program_runs_to_an_output(draft, sigma):
         for inputs, _, coins in instances(prog, N):
             run_symbolic(prog, N, inputs, coins)
             run_generic_reference(prog, N, sigma, inputs, coins)
+
+
+def most_coins(instrs, ip: int = 0) -> int:
+    """The most coin branches on a run from ``ip``, walking both arms of
+    every branch."""
+    op = instrs[ip][0]
+    if op in (OP_OUT_INT, OP_OUT_REG):
+        return 0
+    most = most_coins(instrs, ip + 1)
+    if op in (OP_EQ, OP_COIN):
+        most = max(most, most_coins(instrs, instrs[ip][-1]))
+    return most + (op == OP_COIN)
+
+
+@settings(max_examples=200, deadline=None)
+@given(prog=programs)
+def test_the_coin_count_is_the_most_coins_on_a_path(prog):
+    assert prog.coin_count == most_coins(prog.instructions)
 
 
 @settings(max_examples=100, deadline=None)

@@ -111,7 +111,7 @@ class TestValidation:
         carried = ((OP_INPUT, 0), (OP_COIN, 3), (OP_INPUT, 1), (OP_COIN, 5),
                    (OP_OUT_INT, 0, False), (OP_OUT_REG, 1))
         with pytest.raises(ProgramError, match="skipped a value op"):
-            GenericProgram("carried", carried, n_inputs=2, coin_count=2)
+            GenericProgram("carried", carried, n_inputs=2)
         # skipping into a tail that reads no register is fine
         GenericProgram("tail", skip[:3] + ((OP_OUT_INT, 0, False),), n_inputs=2)
 
@@ -136,23 +136,28 @@ class TestValidation:
         with pytest.raises(ProgramError):
             GenericProgram("bad", instructions, n_inputs=2)
 
-    @pytest.mark.parametrize("n_inputs,coin_count", [(0, 0), (-1, 0), (2, -1)])
-    def test_counts_out_of_range(self, n_inputs, coin_count):
-        with pytest.raises(ProgramError):
-            GenericProgram("bad", ((OP_OUT_INT, 0, False),), n_inputs, coin_count)
+    @pytest.mark.parametrize("n_inputs", [0, -1])
+    def test_input_count_out_of_range(self, n_inputs):
+        with pytest.raises(ProgramError, match="n_inputs >= 1"):
+            GenericProgram("bad", ((OP_OUT_INT, 0, False),), n_inputs)
+
+    def test_the_coin_count_is_derived_not_declared(self):
+        with pytest.raises(TypeError):
+            GenericProgram("c6", ((OP_OUT_INT, 0, False),), 2, 6)
+        # coins on a path no run takes are not counted
+        dead = ((OP_OUT_INT, 0, False), (OP_COIN, 3), (OP_COIN, 3), (OP_OUT_INT, 1, False))
+        assert GenericProgram("dead", dead, n_inputs=1).coin_count == 0
 
 
 def test_coin_exhaustion():
-    # a path that takes more coins than the program declares is refused
-    # when the program is built, so no run can use up its tape; the
-    # deepest path falls through the first coin in one program and takes
-    # it in the other
+    # the coin count is the most coins on any path, so no run can use up
+    # its tape; the deepest path falls through the first coin in one
+    # program and takes it in the other
     out = [(OP_OUT_INT, v, False) for v in range(3)]
     for flips in (((OP_COIN, 2), (OP_COIN, 3), out[0], out[1]),
                   ((OP_COIN, 2), out[0], (OP_COIN, 4), out[1], out[2])):
-        with pytest.raises(ProgramError, match="a path takes 2 coins, past coin count 1"):
-            GenericProgram("flip", flips, n_inputs=1, coin_count=1)
-        prog = GenericProgram("flip", flips, n_inputs=1, coin_count=2)
+        prog = GenericProgram("flip", flips, n_inputs=1)
+        assert prog.coin_count == 2
         outputs = {run_generic(prog, 2, E2[0], (0,), tape).output for tape in coin_tapes(2)}
         assert outputs == set(range(len(flips) - 2))
         for tape in ("", "0", "011"):
