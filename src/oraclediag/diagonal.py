@@ -18,7 +18,8 @@ the measure is below 1 and its choice at each level.  Exact mode takes
 the ``least_open`` child of the whole set.  Approx mode certifies
 candidates in order, doubling k up to a ceiling derived from the set
 and the depth, where only full cells are undecided, so both modes
-choose alike.  The stage search keeps ``f(t, k) - 2**-k`` below the
+choose alike; its below-1 check is the root's certification, as the
+root's cell approximator is g(k) itself.  The stage search keeps ``f(t, k) - 2**-k`` below the
 mass its stage holds in t's cell, so no child is rejected before that
 ceiling; after a rejection the walk goes on at the least child the
 consulted stage leaves open, as every child that stage fills is full.
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable
 
 from .cylinder import (
@@ -205,15 +206,12 @@ class EscapeTranscript:
         return "\n".join(lines) + "\n"
 
 
-K_START = 8  # the first precision tried; each retry doubles it
-
-
 def _certify(S: EnumeratedOpenSet, t, cell: Fraction, ceiling: int):
     """``(f, k)`` for the first precision k = 8, 16, ... that certifies
     ``f(t, k) + 2**-k < cell``, or ``(None, k)`` for the first k of at
     least ``ceiling`` if none does: only a full cell is undecided there,
     and exact mode rejects it too."""
-    k = K_START
+    k = 8  # the first precision tried; each retry doubles it
     while True:
         f_val = conditional_measure_approx(S, t, k)
         if f_val + Fraction(1, 2**k) < cell:
@@ -269,6 +267,7 @@ def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
     elif S.kind != kind:
         raise KindMismatchError(f"expected a {kind} set, got {S.kind}")
     total = _stage_view(S, len(S.stages))
+    prefix = "" if kind == "binary" else ()  # the root
     # Every mass compared is a multiple of 1/D, and |F - f| < 2**-k; once
     # 2**(1-k) < 1/D, a cell certifies iff it is not full, and the measure
     # is certified below 1 iff it is.  A transcript writes out no
@@ -281,14 +280,10 @@ def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
         choose = total.least_open
     else:
         ceiling = D.bit_length() + 1
-        # trust the approximator: some k must witness a measure below 1
-        k = K_START
-        while S.measure_approx(k) >= 1 - Fraction(1, 2**k):
-            if k >= ceiling:
-                raise MeasureTooLargeError("measure approximator never certified < 1")
-            k *= 2
+        # the root's cell mass is the stage measure, so f(root, k) = g(k)
+        if _certify(S, prefix, Fraction(1), ceiling)[0] is None:
+            raise MeasureTooLargeError("measure approximator never certified < 1")
         choose = partial(_approx_choice, S, ceiling=ceiling)
-    prefix = "" if kind == "binary" else ()
     steps: list[EscapeStep] = []
     for level in range(1, depth + 1):
         chosen = choose(prefix)
@@ -329,10 +324,11 @@ def verify_escape(prefix, members: Iterable) -> bool:
 
 
 class _Stages(Sequence):
-    """Stages 1, ..., count of an assembled set, each built on first use, once."""
+    """Stages 1, ..., count of an assembled set, each built when it is read;
+    the escape reads each one once, through ``_stage_view``."""
 
     def __init__(self, build: Callable[[int], Collection], count: int):
-        self._build, self._count = lru_cache(maxsize=None)(build), count
+        self._build, self._count = build, count
 
     def __len__(self) -> int:
         return self._count
@@ -383,23 +379,20 @@ def assemble_open_set(
             cells[key] = materialized
         return cells[key]
 
-    def stage(r: int) -> Collection:
+    def grid(last: int, stop: Callable[[int], int]) -> Collection:
+        """Union of the blocks m <= last at levels g(m) to stop(g(m)),
+        none past the horizon: a stage and an approximation alike."""
         pieces = []
-        for m in range(1, min(r, m_max) + 1):
+        for m in range(1, min(last, m_max) + 1):
             start = g_schedule.g(m)
-            for n in range(start, min(start + r - 1, horizon) + 1):
-                pieces.append(block(m, n))
+            pieces += (block(m, n) for n in range(start, min(stop(start), horizon) + 1))
         return open_union(pieces, kind)
 
-    @lru_cache(maxsize=None)
+    def stage(r: int) -> Collection:
+        return grid(r, lambda start: start + r - 1)
+
     def measure_approx(k: int) -> Fraction:
-        pieces = []
-        for m in range(1, min(k + 1, m_max) + 1):
-            start = g_schedule.g(m)
-            stop = min(start * 2 ** (k + 1) - 1, horizon)
-            for n in range(start, stop + 1):
-                pieces.append(block(m, n))
-        return measure(open_union(pieces, kind))
+        return measure(grid(k + 1, lambda start: start * 2 ** (k + 1) - 1))
 
     # every cutoff g(m) is at least 1, so by stage max(m_max, horizon)
     # each block reaches the horizon and the stages stop growing
@@ -408,12 +401,9 @@ def assemble_open_set(
 
 
 def build_ggm_testfamily(
-    program_for: Callable[[int], "GenericProgram"] | "GenericProgram",
-    d: int,
-    n: int,
-    experiment: str = "dlog",
+    prog: "GenericProgram", d: int, n: int, experiment: str = "dlog"
 ) -> FamilyPatternSet:
-    """Length-n prefixes whose last encoding breaks the 1/n**d target.
+    """Length-n prefixes whose last encoding breaks ``prog``'s 1/n**d target.
 
     Returned compact: the plan's table keys ``Z`` and the assignments to
     them on which the program's success, thresholded in integers, beats
@@ -426,5 +416,4 @@ def build_ggm_testfamily(
 
     if d < 2:
         raise ValueError("need d >= 2")
-    prog = program_for(n) if callable(program_for) else program_for
     return FamilyPatternSet({n: bad_assignments(prog, n, experiment, Fraction(1, n**d))})

@@ -30,9 +30,12 @@ assignments as patterns; no encoding is built.
 ``success_vector`` builds one ``Fraction`` per encoding; it is the test
 oracle's path, not the constraint-set path, and ``all_encodings`` caps
 its width.  ``dlog_success_for_sigma``, ``cdh_success_for_sigma`` and
-``success_vector(method="naive")`` rerun the interpreter ``run_generic``
-per encoding and decide each win from its output; they are the
-independent path the plan is tested against.
+``success_vector(method="naive")`` rerun ``run_generic`` per encoding and
+compare each output with the experiment's target: they are independent
+of the plan's win rule and weighting, not of the interpreter, since
+``run_generic`` is ``run_symbolic`` with sigma applied.  The independent
+interpreter is ``vm.run_generic_reference``, which the random-program
+tests hold ``run_generic`` to.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cylinder import EncodingFunction, all_encodings
-from .vm import GenericProgram, RunResult, coin_tapes, run_generic, run_symbolic
+from .vm import GenericProgram, coin_tapes, run_generic, run_symbolic
 
 # An instance plan runs every (modulus, hidden values, coins) instance
 # once; a question is refused when even its least instance count, with
@@ -115,13 +118,14 @@ def _success_over_instances(
     prog: GenericProgram,
     sigma: EncodingFunction,
     moduli: Sequence[int],
-    wins,
+    experiment: str,
 ) -> tuple[Fraction, int]:
     """Average success over (modulus, hidden values, coins); exact.
 
-    `wins(result, N, hidden)` decides a single run; the result averages
-    uniformly over the moduli and, per modulus, over hidden tuples and
-    coin tapes.  Returns (success, max queries seen).
+    A run wins when its output is the experiment's target at ``sigma``:
+    x for dlog, the encoding of x * y as a register for cdh.  The result
+    averages uniformly over the moduli and, per modulus, over hidden
+    tuples and coin tapes.  Returns (success, max queries seen).
     """
     tapes = list(coin_tapes(prog.coin_count))
     per_modulus = []
@@ -131,11 +135,15 @@ def _success_over_instances(
         total = 0
         for hidden in _hidden_tuples(prog, N):
             inputs = (1 % N, *hidden)
+            if experiment == "dlog":
+                target = hidden[0]
+            else:
+                target = (1 << sigma.n) + sigma.table[hidden[0] * hidden[1] % N] - 1
             for coins in tapes:
                 res = run_generic(prog, N, sigma, inputs, coins)
                 if res.queries > max_queries:
                     max_queries = res.queries
-                hits += wins(res, N, hidden)
+                hits += res.output == target
                 total += 1
         per_modulus.append(Fraction(hits, total))
     return sum(per_modulus, Fraction(0)) / len(per_modulus), max_queries
@@ -148,21 +156,12 @@ def _hidden_tuples(prog: GenericProgram, N: int):
     return ((x, y) for x in range(N) for y in range(N))
 
 
-def _dlog_wins(res: RunResult, N: int, hidden: tuple) -> bool:
-    return res.output == hidden[0]
-
-
-def _cdh_target(sigma: EncodingFunction, N: int, x: int, y: int) -> int:
-    return (1 << sigma.n) + sigma.table[x * y % N] - 1
-
-
 def dlog_success_for_sigma(
     prog: GenericProgram, n: int, sigma: EncodingFunction
 ) -> Fraction:
     """Exact success of the discrete-log experiment at one fixed encoding."""
     _check_arity(prog, "dlog")
-    success, _ = _success_over_instances(prog, sigma, _primes(n), _dlog_wins)
-    return success
+    return _success_over_instances(prog, sigma, _primes(n), "dlog")[0]
 
 
 def cdh_success_for_sigma(
@@ -170,12 +169,7 @@ def cdh_success_for_sigma(
 ) -> Fraction:
     """Exact success of the Diffie-Hellman experiment at one fixed encoding."""
     _check_arity(prog, "cdh")
-
-    def wins(res: RunResult, N: int, hidden: tuple) -> bool:
-        return res.output == _cdh_target(sigma, N, *hidden)
-
-    success, _ = _success_over_instances(prog, sigma, _primes(n), wins)
-    return success
+    return _success_over_instances(prog, sigma, _primes(n), "cdh")[0]
 
 
 def _primes(n: int) -> tuple[int, ...]:
@@ -423,8 +417,7 @@ def success_vector(
     take ``bad_assignments`` instead.  ``all_encodings`` refuses a width
     past its cap before any instance runs.
     """
-    if experiment not in ("dlog", "cdh"):
-        raise ValueError(f"unknown experiment {experiment!r}")
+    _check_arity(prog, experiment)
     if method not in ("fast", "naive"):
         raise ValueError(f"unknown method {method!r}")
     encodings = all_encodings(n)

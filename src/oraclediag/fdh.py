@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .cylinder import Bits, all_bit_strings, bit_strings_up_to
+from .cylinder import Bits, bit_strings_up_to
 from .rom import ELL_ONE, EllPoly, ExperimentOracle, OracleTable
 from .vm import coin_tapes
 
@@ -83,12 +83,7 @@ def _fresh_guess(n, scheme, pk, sign_oracle, hash_oracle, coins):
 
 
 def _invert(n, scheme, pk, sign_oracle, hash_oracle, coins):
-    target = hash_oracle("0")
-    width = scheme.ell(n)
-    for sig in all_bit_strings(width):
-        if shift_apply(width, pk, sig) == target:
-            return "0", sig
-    raise AssertionError("shift family is a permutation; unreachable")
+    return "0", shift_invert(scheme.ell(n), pk, hash_oracle("0"))
 
 
 def _lucky_all_ones(n, scheme, pk, sign_oracle, hash_oracle, coins):

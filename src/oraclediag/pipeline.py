@@ -86,7 +86,7 @@ def registry_testfamily(
         if not 1 <= i <= len(registry) or n > horizon or n < 2:
             return frozenset()
         adversary = registry[i - 1]
-        return build_ggm_testfamily(adversary.program_for, d, n, experiment=adversary.experiment)
+        return build_ggm_testfamily(adversary.program_for(n), d, n, adversary.experiment)
 
     return family
 
@@ -109,7 +109,7 @@ def compressed_schedules(m_max: int = 5, horizon: int = 3) -> tuple[Schedule, Sc
 class PipelineReport:
     schedule: str
     open_set: EnumeratedOpenSet
-    transcript: EscapeTranscript | None
+    transcript: EscapeTranscript
     materialized: dict[tuple[int, int, int], int]  # (i, d, n) -> member count
     verified: bool
     vacuous: bool
@@ -123,9 +123,8 @@ class PipelineReport:
             )
         for (i, d, n), count in sorted(nonempty.items()):
             lines.append(f"constraints i={i} d={d} n={n} members={count}")
-        if self.transcript is not None:
-            lines.append(f"escape verified {self.verified}")
-            lines.append(self.transcript.to_text().rstrip("\n"))
+        lines.append(f"escape verified {self.verified}")
+        lines.append(self.transcript.to_text().rstrip("\n"))
         return "\n".join(lines) + "\n"
 
 

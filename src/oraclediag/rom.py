@@ -28,7 +28,7 @@ patterns is refused, not measured: no test set built here overlaps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -43,13 +43,11 @@ class InfeasibleSizeError(ValueError):
 
 @dataclass(frozen=True)
 class EllPoly:
-    """Block-length polynomial; must be positive wherever it is evaluated."""
+    """Block-length polynomial ``ell(n) = sum(coeffs[i] * n**i)``: block k
+    of the flattened sequence is ``ell(parameter of pair k)`` bits wide.
+    A plain value; ``layout_position`` refuses a width below 1."""
 
     coeffs: tuple[int, ...]
-    # bits taken by blocks 0..k-1, filled on demand by _prefix_length
-    _sums: list[int] = field(
-        default_factory=lambda: [0], init=False, compare=False, hash=False, repr=False
-    )
 
     def __call__(self, n: int) -> int:
         return sum(c * n**i for i, c in enumerate(self.coeffs))
@@ -58,26 +56,21 @@ class EllPoly:
 ELL_ONE = EllPoly((1,))
 
 
-def _prefix_length(ell: EllPoly, k: int) -> int:
-    """Total bits occupied by blocks 0..k-1 of the flattened sequence."""
-    sums = ell._sums
-    while len(sums) <= k:
-        idx = len(sums) - 1
-        width = ell(cantor_unpair(idx)[0])
-        if width < 1:
-            raise ValueError(f"block length must be positive; fails at pair {idx}")
-        sums.append(sums[-1] + width)
-    return sums[k]
-
-
 def layout_position(n: int, j: int, ell: EllPoly) -> int:
-    """Bit offset at which the block for (n, j) begins.
+    """Bit offset at which the block for (n, j) begins: the widths of the
+    blocks before it, summed in pairing order.
 
     Equals the length of the constraint-string prefix that ends with the
     free segment just before block j; the block itself occupies
     ``[offset, offset + ell(n))``.
     """
-    return _prefix_length(ell, cantor_pair(n, j))
+    offset = 0
+    for idx in range(cantor_pair(n, j)):
+        width = ell(cantor_unpair(idx)[0])
+        if width < 1:
+            raise ValueError(f"block length must be positive; fails at pair {idx}")
+        offset += width
+    return offset
 
 
 def block_span(n: int, j: int, ell: EllPoly) -> tuple[int, int]:
@@ -191,9 +184,6 @@ class ConstraintPattern:
     @property
     def free_bits(self) -> int:
         return self.length - len(self.pins)
-
-    def measure(self) -> Fraction:
-        return Fraction(1, 2 ** len(self.pins))
 
     def conflicts(self, other: "ConstraintPattern") -> bool:
         """True iff the two patterns pin some shared position differently."""

@@ -113,6 +113,11 @@ class Schedule:
     unary_table: Mapping[int, int] | None = None
     base: "Schedule | None" = None
 
+    def __post_init__(self) -> None:
+        for key, v in (*(self.pair_table or {}).items(), *(self.unary_table or {}).items()):
+            if v < 1:
+                raise ValueError(f"schedule value {v} at {key} must be a positive integer")
+
     @classmethod
     def dlog_paper(cls, C: int = 1) -> "Schedule":
         return cls(kind="dlog-paper", C=C)
@@ -136,10 +141,9 @@ class Schedule:
             return dlog_schedule(k, d, self.C)
         if self.kind == "custom-table" and self.pair_table is not None:
             try:
-                value = self.pair_table[(k, d)]
+                return self.pair_table[(k, d)]
             except KeyError:
                 raise ValueError(f"schedule table has no entry for (k={k}, d={d})")
-            return self._positive(value)
         raise ValueError(f"schedule of kind {self.kind!r} defines no pair function")
 
     def g(self, m: int) -> int:
@@ -148,17 +152,10 @@ class Schedule:
             return escape_schedule(m, self.base.f)
         if self.kind == "custom-table" and self.unary_table is not None:
             try:
-                value = self.unary_table[m]
+                return self.unary_table[m]
             except KeyError:
                 raise ValueError(f"schedule table has no entry for m={m}")
-            return self._positive(value)
         raise ValueError(f"schedule of kind {self.kind!r} defines no unary function")
-
-    @staticmethod
-    def _positive(value: int) -> int:
-        if value < 1:
-            raise ValueError("schedule values must be positive integers")
-        return value
 
 
 def load_schedule_table(path: str | Path) -> Schedule:

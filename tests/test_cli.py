@@ -118,6 +118,14 @@ class TestExperiments:
         )
         assert code == 1  # 2/3 > 1/3
 
+    def test_out_writes_the_csv(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code, printed, _ = run_cli(capsys, "dlog", "--prog", "const_guess:0", "--n", "2", "--out", str(out))
+        assert code == 0 and printed == ""
+        header, row = out.read_text().splitlines()
+        assert header == "program,n,N,success_num,success_den,success,m"
+        assert row == "const_guess(0),2,avg,5,12,0.4166666666666667,0"
+
     def test_sample_needs_seed(self, capsys):
         code, _, err = run_cli(
             capsys, "dlog", "--prog", "const_guess:0", "--n", "5", "--mode", "sample"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oraclediag import cylinder
 from oraclediag.cylinder import (
     EncodingFunction,
     KindMismatchError,
@@ -140,6 +141,15 @@ class TestChecks:
 
     def test_monotonicity(self):
         assert monotonicity_check({"00"}, {"0"})
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [lambda s: Fraction(len(s)) ** 2, lambda s: Fraction(1)],
+        ids=["union-too-large", "disjoint-not-additive"],
+    )
+    def test_subadditivity_fails_under_a_wrong_measure(self, monkeypatch, wrong):
+        monkeypatch.setattr(cylinder, "measure", wrong)
+        assert not subadditivity_check([{"0"}, {"1"}])
 
 
 class TestMixedKinds:

@@ -381,7 +381,8 @@ def test_each_candidate_is_certified_once(monkeypatch):
 
     monkeypatch.setattr(diagonal, "_certify", recording)
     escape_family({(E1[0],)}, depth=1, mode="approx")
-    assert seen == [(E1[0],), (E1[1],)]  # the rejected identity, then the escape
+    # the root's below-1 check, the rejected identity, then the escape
+    assert seen == [(), (E1[0],), (E1[1],)]
     # width 4 answers as long as its least candidate, built without
     # listing the width's 16! encodings, certifies at once
     transcript = escape_family({(E1[0],)}, depth=4, mode="approx")
@@ -420,6 +421,27 @@ def test_a_lying_approximator_breaks_the_escape_contract():
     )
     with pytest.raises(EscapeContractViolation, match="at depth 1"):
         escape_binary(full, depth=8, mode="approx")
+
+
+def test_a_walk_past_the_last_child_breaks_the_escape_contract():
+    # the stage for k = 8 holds 127 of the 128 seven-bit extensions of
+    # "0" and of "1": it leaves both children open, so after rejecting
+    # "1" the walk runs past the last child
+    s = frozenset(f"{b}{i:07b}" for b in "01" for i in range(127))
+    S = EnumeratedOpenSet(
+        kind="binary", stages=(s, frozenset({"0", "1"})), measure_approx=lambda k: Fraction(127, 128)
+    )
+    with pytest.raises(EscapeContractViolation, match="at depth 1"):
+        escape_binary(S, 1, "approx")
+
+
+@pytest.mark.parametrize("depth", [0, 3])
+def test_the_root_certifies_through_the_stage_search(depth):
+    # g = 1 claims mass no stage reaches: the root's certification asks
+    # the stage search, which refuses, at depth 0 as at any other
+    liar = EnumeratedOpenSet(kind="binary", stages=({"0"},), measure_approx=lambda k: Fraction(1))
+    with pytest.raises(StageCapExceeded):
+        escape_binary(liar, depth, "approx")
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
@@ -466,6 +488,8 @@ class TestVerifyEscape:
         assert verify_escape("11", {"00", "01", "10"})
         assert not verify_escape("0", {"0"})
         assert not verify_escape("010", {"01"})
+        # an iterator is gathered first: the kind check would exhaust it
+        assert not verify_escape("00", iter(["0"]))
 
     def test_kind_mismatch(self):
         with pytest.raises(KindMismatchError):

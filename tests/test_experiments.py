@@ -320,21 +320,12 @@ class TestPlanAgainstNaive:
 
 def _naive_audit(prog, n, N, C):
     """The fixed-modulus audit by enumerating every encoding through run_generic."""
-    from oraclediag.experiments import (
-        AuditResult,
-        _cdh_target,
-        _dlog_wins,
-        _success_over_instances,
-    )
+    from oraclediag.experiments import AuditResult, _success_over_instances
 
+    experiment = "cdh" if prog.n_inputs == 3 else "dlog"
     total, max_queries = Fraction(0), 0
     for sigma in all_encodings(n):
-        if prog.n_inputs == 3:
-            def wins(res, modulus, hidden, _sigma=sigma):
-                return res.output == _cdh_target(_sigma, modulus, *hidden)
-        else:
-            wins = _dlog_wins
-        success, queries = _success_over_instances(prog, sigma, (N,), wins)
+        success, queries = _success_over_instances(prog, sigma, (N,), experiment)
         total += success
         max_queries = max(max_queries, queries)
     success = total / len(all_encodings(n))

@@ -220,6 +220,23 @@ def test_a_view_refuses_a_cell_of_the_other_kind(view, cell):
             call(cell)
 
 
+@pytest.mark.parametrize(
+    "levels,prefix",
+    [
+        ({2: ((), [()])}, ()),  # every width-2 table is bad: the next level is full
+        ({1: ((0,), [(0,)])}, (all_encodings(1)[0],)),  # the prefix itself is covered
+        ({1: ((), [()])}, ()),  # no table of the next width avoids the level
+    ],
+    ids=["later-level-full", "covered", "next-level-full"],
+)
+def test_no_child_is_open(levels, prefix):
+    view = FamilyPatternSet(levels)
+    assert view.least_open(prefix) is None
+    members = frozenset(view)  # every child is full on the member path too
+    children = [child(prefix, i) for i in range(encf_count(len(prefix) + 1))]
+    assert all(cell_mass(members, t) == cylinder.cell_volume(t) for t in children)
+
+
 def test_refuses_malformed_levels():
     with pytest.raises(ValueError):
         FamilyPatternSet({2: ((1, 0), [(0, 1)])})  # keys out of order

@@ -2,8 +2,11 @@
 or the CLI's exit-code contract promises, with a message that names the
 fault."""
 
+from fractions import Fraction
+
 import pytest
 
+from oraclediag.cli import main
 from oraclediag.cylinder import KindMismatchError, SetFormatError, parse_encoding, read_int
 from oraclediag.diagonal import EnumeratedOpenSet, build_ggm_testfamily, escape_binary, escape_family
 from oraclediag.experiments import dlog_success_ggm, largest_prime_factor, success_vector
@@ -11,7 +14,14 @@ from oraclediag.fdh import default_toy_scheme, fdh_experiment_oracle, sigforge_t
 from oraclediag.pipeline import toy_registry
 from oraclediag.programs import bsgs, cdh_pin_table, const_guess, linear_search, random_guess
 from oraclediag.rom import ELL_ONE, ConstraintPattern, OracleTable, bad_tables_for, build_constraint_patterns
-from oraclediag.schedules import Schedule, dlog_schedule, tail_bound_check
+from oraclediag.schedules import (
+    Schedule,
+    dlog_schedule,
+    escape_schedule,
+    load_schedule_table,
+    markov_exceed_count,
+    tail_bound_check,
+)
 
 WIDE = OracleTable(1, 2, ("00", "01", "10"))  # width 2 where the scheme's blocks are 1 bit
 ORACLE = fdh_experiment_oracle(default_toy_scheme(), "replay")
@@ -39,10 +49,18 @@ REFUSALS = {
     ),
     "tail-bound-n0": (lambda: tail_bound_check(0, 2), ValueError, "n >= 1"),
     "dlog-schedule-k0": (lambda: dlog_schedule(0, 1, 1), ValueError, "positive"),
+    "escape-schedule-m0": (lambda: escape_schedule(0, dlog_schedule), ValueError, "m must be positive"),
     "escape-schedule-f": (
         lambda: Schedule.escape_from(Schedule.dlog_paper()).f(1, 2), ValueError, "no pair function",
     ),
     "custom-table-g": (lambda: Schedule.custom(pair_table={(1, 2): 3}).g(1), ValueError, "no unary function"),
+    "custom-table-no-m": (lambda: Schedule.custom(unary_table={1: 2}).g(2), ValueError, "no entry for m=2"),
+    "custom-table-zero": (
+        lambda: Schedule.custom(pair_table={(1, 2): 0}), ValueError, "value 0 at (1, 2) must be a positive integer",
+    ),
+    "markov-alpha-0": (
+        lambda: markov_exceed_count([Fraction(1)], Fraction(1), Fraction(0)), ValueError, "alpha must be positive",
+    ),
     "random-guess-0": (lambda: random_guess(0), ValueError, "at least one coin"),
     "linear-search-negative": (lambda: linear_search(-1), ValueError, "nonnegative"),
     "bsgs-m0": (lambda: bsgs(0, 3), ValueError, "m >= 1"),
@@ -66,3 +84,22 @@ def test_a_bad_argument_is_refused_with_its_type(call, error, fragment):
         call()
     assert type(caught.value) is error
     assert fragment in str(caught.value)
+
+
+def test_a_table_file_with_a_row_below_1_is_refused_when_loaded(tmp_path, capsys):
+    table = tmp_path / "table.txt"
+    table.write_text("1 2 99\n3 4 0\n")
+    with pytest.raises(ValueError, match=r"value 0 at \(3, 4\) must be a positive integer"):
+        load_schedule_table(table)
+    # the (1, 2) row is fine; the file is refused as a whole, naming the bad row
+    assert main(["schedule", "--k", "1", "--d", "2", "--schedule", f"file:{table}"]) == 2
+    assert "value 0 at (3, 4) must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "check,message",
+    [("tail", "needs --n and --d"), ("power", "needs --d and --n-max"), ("markov", "needs --values")],
+)
+def test_a_check_without_its_flags_is_a_usage_error(capsys, check, message):
+    assert main(["bounds", "--check", check]) == 2
+    assert message in capsys.readouterr().err

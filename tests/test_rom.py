@@ -78,7 +78,7 @@ class TestLayout:
                 start = width * cantor_pair(n, j)
                 assert layout_position(n, j, ell) == start
                 assert block_span(n, j, ell) == (start, start + width)
-        fresh = EllPoly(coeffs)  # prefix sums not filled yet
+        fresh = EllPoly(coeffs)  # a separate value, equal to ell
         assert fresh == ell and hash(fresh) == hash(ell)
         assert {ell: "filled"}[fresh] == "filled"
         assert layout_position(5, 5, fresh) == layout_position(5, 5, ell)
@@ -259,7 +259,7 @@ def _reference_pattern_measure(patterns):
     """Plain pairwise disjointness test, else inclusion-exclusion over pins."""
     unique = list(set(patterns))
     if all(a.conflicts(b) for a, b in itertools.combinations(unique, 2)):
-        return sum((p.measure() for p in unique), Fraction(0))
+        return sum((Fraction(1, 2 ** len(p.pins)) for p in unique), Fraction(0))
     if len(unique) > 16:
         raise InfeasibleSizeError("too many overlapping patterns")
     total = Fraction(0)
