@@ -63,14 +63,15 @@ def integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_set(args) -> frozenset:
-    parse = cylinder.parse_binary_set if args.kind == "binary" else cylinder.parse_family_set
-    return parse(Path(args.set_file).read_text())
+def _read_set(args) -> tuple[cylinder.Kind, frozenset]:
+    kind = cylinder.kind_named(args.kind)
+    return kind, kind.read(Path(args.set_file).read_text())
 
 
 def cmd_measure(args) -> int:
-    norm = cylinder.normalize_prefix_free(_parse_set(args))
-    value = cylinder.prefix_free_measure(norm, args.kind)
+    kind, members = _read_set(args)
+    norm = cylinder.normalize_prefix_free(members)
+    value = cylinder.prefix_free_measure(norm, kind)
     cylinder.writable(value.denominator, "the measure's denominator")
     print(f"members {len(norm)}")
     print(f"{value.numerator}/{value.denominator}")
@@ -107,8 +108,9 @@ def cmd_diagonalize(args) -> int:
     else:
         if not args.set_file:
             raise ValueError("diagonalize needs a set file or --toy-pipeline")
-        members = _parse_set(args)
-        escape = diagonal.escape_binary if args.kind == "binary" else diagonal.escape_family
+        kind, members = _read_set(args)
+        # escape_binary or escape_family, looked up where a tracer may wrap it
+        escape = getattr(diagonal, f"escape_{kind}")
         transcript = escape(members, depth=args.depth, mode=args.mode)
         out_text = transcript.to_text()
         code = 0 if diagonal.verify_escape(transcript.prefix, members) else 1
@@ -175,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("measure", help="exact measure of a cylinder-set file")
     p.add_argument("set_file")
-    p.add_argument("--kind", choices=("binary", "family"), default="binary")
+    p.add_argument("--kind", choices=tuple(cylinder.KINDS), default=cylinder.BINARY.name)
     p.set_defaults(func=cmd_measure)
 
     for name, func in (("dlog", cmd_dlog), ("cdh", cmd_cdh)):
@@ -193,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagonalize", help="escape a finite set or run the toy pipeline")
     p.add_argument("set_file", nargs="?")
-    p.add_argument("--kind", choices=("binary", "family"), default="binary")
+    p.add_argument("--kind", choices=tuple(cylinder.KINDS), default=cylinder.BINARY.name)
     p.add_argument("--depth", type=integer, default=3)
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--toy-pipeline", action="store_true")

@@ -13,16 +13,16 @@ Two measure spaces are supported:
 
 Bit strings are plain ``str`` objects over ``'0'``/``'1'`` (the empty
 string is the empty prefix).  Family prefixes are tuples of
-:class:`EncodingFunction` with widths 1, 2, ..., len in order.  All
-measures are :class:`fractions.Fraction`; nothing here rounds.
+:class:`EncodingFunction` with widths 1, 2, ..., len in order.  Each space
+is one :class:`Kind` record, ``BINARY`` or ``FAMILY``, which states each
+of its facts once.  All measures are :class:`fractions.Fraction`;
+nothing here rounds.
 
 Measures run on one integer kernel over one sorted order, in which the
-members extending a prefix ``t`` form one range (``[t, t + "2")`` for
-bit strings; family prefixes sort by their tables).  Normalization is
-one sorted sweep; a set of one length is already prefix-free.  Masses
-are integers over one denominator, the cell count ``den`` of the longest
-member (``2**len`` for bit strings, ``prod((2**k)!)`` for family
-prefixes).  :class:`SortedPrefixFree` keeps the running sums of its
+members extending a prefix ``t`` form one range.  Normalization is one
+sorted sweep; a set of one length is already prefix-free.  Masses are
+integers over one denominator, the cell count ``den`` of the longest
+member.  :class:`SortedPrefixFree` keeps the running sums of its
 masses, so the mass in a cell is a difference of two sums at a range
 found by bisection.
 
@@ -37,13 +37,13 @@ and it looks up one prefix at a time.
 Escapes read a finite set through one protocol, which both
 :class:`SortedPrefixFree` and :class:`FamilyPatternSet` implement:
 
-* ``kind``, ``"binary"`` or ``"family"``;
+* ``kind``, the set's :class:`Kind`, ``BINARY`` or ``FAMILY``;
 * ``den``, the cell count of its longest member: masses are multiples of ``1/den``;
 * ``measure()``;
 * ``cell_mass(t)``, the set's mass inside the cell of ``t``;
 * ``covers(t)``, true iff a member is a prefix of ``t``;
 * ``least_open(prefix)``, the least child cell ``t`` of ``prefix`` (in
-  :func:`child` order) whose mass is below its volume, as
+  :meth:`Kind.child` order) whose mass is below its volume, as
   ``(t, index, child count, mass)``, or None if the set fills every one.
 
 A cell of the other kind is refused.  :func:`open_view` picks the view of
@@ -63,10 +63,10 @@ from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, inf, perm, prod
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 Bits = str
 
@@ -98,6 +98,8 @@ def validate_bits(s: Bits) -> Bits:
 
 def all_bit_strings(length: int) -> list[Bits]:
     """All bit strings of exactly `length` bits, lexicographically."""
+    if length < 0:
+        raise ValueError(f"a bit string length must be at least 0, got {length}")
     return [format(i, f"0{length}b") if length else "" for i in range(2**length)]
 
 
@@ -118,10 +120,9 @@ def _content_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def bit_strings_up_to(q: int) -> list[Bits]:
     """All bit strings of length <= q in canonical order (by length, then value)."""
-    out: list[Bits] = []
-    for length in range(q + 1):
-        out.extend(all_bit_strings(length))
-    return out
+    if q < 0:
+        raise ValueError(f"a bit string length must be at least 0, got {q}")
+    return [s for length in range(q + 1) for s in all_bit_strings(length)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +152,6 @@ class EncodingFunction:
 
 FamilyPrefix = tuple[EncodingFunction, ...]
 
-EMPTY_PREFIX: FamilyPrefix = ()
-
 
 @lru_cache(maxsize=None)
 def encf_count(n: int) -> int:
@@ -179,8 +178,55 @@ def all_encodings(n: int) -> tuple[EncodingFunction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Normalization and measure
+# The two spaces
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Kind:
+    """One cylinder space, each fact of it stated once: ``root``, the
+    empty prefix, whose type every prefix has; ``key``, a prefix's sort
+    key (None where a prefix is its own), in whose order the members
+    extending ``t`` lie below ``key(t) + end``, ``end`` being a prefix of
+    no member; ``child_count(prefix)``; ``tail(length, index)``, what the
+    child of that index in escape order adds to a prefix of that length;
+    ``den(length)``, the number of cells of that length; and ``read`` and
+    ``write``, the set-file parser and formatter."""
+
+    name: str
+    root: object
+    key: Callable | None
+    end: object
+    child_count: Callable[[object], int]
+    tail: Callable[[int, int], object]
+    den: Callable[[int], int]
+    read: Callable[[str], frozenset]
+    write: Callable[[Iterable], str]
+
+    def __str__(self) -> str:
+        return self.name
+
+    def child(self, prefix, index: int):
+        """The ``index``-th child of ``prefix``, refused past its children."""
+        count = self.child_count(prefix)
+        if not 0 <= index < count:
+            raise ValueError(f"child index {index} is outside range({count})")
+        return prefix + self.tail(len(prefix), index)
+
+    def cell_den(self, length: int) -> int:
+        """Number of cells of one length, i.e. the inverse of their volume."""
+        if length < 0:
+            raise ValueError(f"a cell length must be at least 0, got {length}")
+        return self.den(length)
+
+    @cached_property
+    def writable_length(self) -> int:
+        """The longest cell length whose cell count is ``writable``: 14,284
+        for bit strings, 9 for family prefixes (10 has a 4,673-digit count)."""
+        length = 0
+        while self.den(length + 1) < _TEXT_BOUND:
+            length += 1
+        return length
 
 
 _TABLE = attrgetter("table")
@@ -191,7 +237,41 @@ def _family_key(prefix: FamilyPrefix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(_TABLE, prefix))
 
 
-def _normalize(members: Iterable, kind: str | None = None) -> Collection:
+# "2" sorts after both bits, (inf,) after every table; the set-file
+# functions are looked up when called, where a tracer may wrap them
+BINARY = Kind(
+    "binary", "", None, "2", child_count=lambda prefix: 2, tail=lambda length, index: "01"[index],
+    den=lambda length: 1 << length,
+    read=lambda text: parse_binary_set(text), write=lambda members: format_binary_set(members),
+)
+FAMILY = Kind(
+    "family", (), _family_key, ((inf,),), child_count=lambda prefix: encf_count(len(prefix) + 1),
+    tail=lambda length, index: (EncodingFunction(length + 1, encoding_unrank(length + 1, index)),),
+    den=lambda length: prod(map(encf_count, range(1, length + 1))),
+    read=lambda text: parse_family_set(text), write=lambda members: format_family_set(members),
+)
+KINDS = {kind.name: kind for kind in (BINARY, FAMILY)}
+_KIND_OF_TYPE = {type(kind.root): kind for kind in KINDS.values()}
+
+
+def kind_named(kind: Kind | str) -> Kind:
+    """The space of that name, or ``kind`` itself if it is one; else refused."""
+    if kind not in (*KINDS, *KINDS.values()):
+        raise ValueError(f"unknown kind {kind!r}")
+    return KINDS.get(kind, kind)
+
+
+def cell_kind(t) -> Kind:
+    """The space of a cell: a bit string's, else a family prefix's."""
+    return BINARY if isinstance(t, str) else FAMILY
+
+
+# ---------------------------------------------------------------------------
+# Normalization and measure
+# ---------------------------------------------------------------------------
+
+
+def _normalize(members: Iterable, kind: Kind | None = None) -> Collection:
     """Drop every member that has a proper prefix in the set.
 
     A set of one length has none and comes back as the input frozenset.
@@ -205,12 +285,9 @@ def _normalize(members: Iterable, kind: str | None = None) -> Collection:
     pool = members if isinstance(members, frozenset) else frozenset(members)
     if len(set(map(len, pool))) < 2:
         return pool
-    if (kind or kind_of(pool)) == "binary":
-        last = "2"  # a prefix of no bit string
-        return [last := s for s in sorted(pool) if not s.startswith(last)]
-    last = None
-    order = sorted(pool, key=_family_key)
-    return [last := p for p in order if last is None or p[: len(last)] != last]
+    kind = kind or kind_of(pool)
+    last = kind.end  # a prefix of no member
+    return [last := m for m in sorted(pool, key=kind.key) if m[: len(last)] != last]
 
 
 def normalize_prefix_free(members: Iterable) -> frozenset:
@@ -221,8 +298,8 @@ def normalize_prefix_free(members: Iterable) -> frozenset:
     return pool if len(kept) == len(pool) else frozenset(kept)
 
 
-def kind_of(members: Iterable, expected: str | None = None) -> str | None:
-    """``"binary"`` or ``"family"``; ``expected`` (or None) for the empty set.
+def kind_of(members: Iterable, expected: Kind | None = None) -> Kind | None:
+    """The :class:`Kind` of a set; ``expected`` (or None) for the empty set.
 
     A compact set states its kind; of any other set every member is
     looked at, so a set mixing bit strings and family prefixes, or a set
@@ -231,22 +308,12 @@ def kind_of(members: Iterable, expected: str | None = None) -> str | None:
     kind = getattr(members, "kind", None)
     if kind is None:
         types = set(map(type, members))
-        kind = "binary" if types == {str} else "family" if types == {tuple} else None
+        kind = _KIND_OF_TYPE.get(next(iter(types))) if len(types) == 1 else None
         if types and kind is None:
             raise KindMismatchError("a set must hold only bit strings or only family prefixes")
     if expected is not None and kind not in (None, expected):
         raise KindMismatchError(f"expected a {expected} set, got a {kind} set")
     return kind or expected
-
-
-def cell_den(kind: str, length: int) -> int:
-    """Number of cells of one length, i.e. the inverse of their volume."""
-    if kind == "binary":
-        return 2**length
-    den = 1
-    for k in range(1, length + 1):
-        den *= encf_count(k)
-    return den
 
 
 # Python writes an int of at most this many digits as text.  The fixed
@@ -281,36 +348,24 @@ def read_int(text: str, what: str) -> int:
         raise ValueError(f"{what} is not an integer: {text!r}") from None
 
 
-@lru_cache(maxsize=None)
-def writable_length(kind: str) -> int:
-    """The longest cell length whose cell count is ``writable``: 14,284 for
-    bit strings, 9 for family prefixes (10 has a 4,673-digit count)."""
-    if kind == "binary":
-        return _TEXT_BOUND.bit_length() - 1  # a power of ten is no power of two
-    length = 0
-    while cell_den(kind, length + 1) < _TEXT_BOUND:
-        length += 1
-    return length
-
-
 def cell_volume(s) -> Fraction:
     """Volume of the cell spanned by a bit string or a family prefix; the
     empty prefix spans the whole space and has volume 1."""
-    return Fraction(1, 2 ** len(s) if isinstance(s, str) else cell_den("family", len(s)))
+    return Fraction(1, cell_kind(s).cell_den(len(s)))
 
 
-def length_weights(lengths: Iterable[int], kind: str) -> tuple[int, dict[int, int]]:
+def length_weights(lengths: Iterable[int], kind: Kind | None) -> tuple[int, dict[int, int]]:
     """``den(top)`` and, per length, the integer mass of one cell of it.
 
-    ``top`` is the longest of the lengths, so every weight
-    ``den(top) // den(length)`` is exact.
+    ``top`` is the longest of the lengths (the root's, for none), so
+    every weight ``den(top) // den(length)`` is exact.
     """
     lengths = set(lengths)
-    den = cell_den(kind, max(lengths, default=0))
-    return den, {length: den // cell_den(kind, length) for length in lengths}
+    den = kind.cell_den(max(lengths)) if lengths else 1
+    return den, {length: den // kind.cell_den(length) for length in lengths}
 
 
-def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
+def prefix_free_measure(norm: Iterable, kind: Kind | None = None) -> Fraction:
     """Measure of a set its caller already made prefix-free.
 
     Counts members per length and adds the counts over one denominator.
@@ -319,35 +374,32 @@ def prefix_free_measure(norm: Iterable, kind: str | None = None) -> Fraction:
     """
     kind = kind or kind_of(norm)
     counts = Counter(map(len, norm))
-    if not counts:
-        return ZERO
     den, weight = length_weights(counts, kind)
     return Fraction(sum(count * weight[length] for length, count in counts.items()), den)
 
 
-def _measure(members: Iterable, kind: str | None = None) -> Fraction:
+def _measure(members: Iterable, kind: Kind | None = None) -> Fraction:
     """Measure of a set of one kind (``kind``, when given).  A compact set
     measures itself; a set of one length comes back from ``_normalize``
     as it was, and each member weighs one cell of it."""
     if isinstance(members, FamilyPatternSet):
-        kind_of(members, kind)
-        return members.measure()
+        return open_view(members, kind).measure()
     pool = members if isinstance(members, frozenset) else frozenset(members)
     kind = kind_of(pool, kind)
     norm = _normalize(pool, kind)
     if not isinstance(norm, frozenset):
         return prefix_free_measure(norm, kind)
-    return Fraction(len(norm), cell_den(kind, len(next(iter(norm))))) if norm else ZERO
+    return Fraction(len(norm), kind.cell_den(len(next(iter(norm))))) if norm else ZERO
 
 
 def binary_measure(strings: Iterable[Bits]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of bit strings."""
-    return _measure(strings, "binary")
+    return _measure(strings, BINARY)
 
 
 def family_measure(prefixes: Iterable[FamilyPrefix]) -> Fraction:
     """Exact measure of the open set denoted by a finite set of family prefixes."""
-    return _measure(prefixes, "family")
+    return _measure(prefixes, FAMILY)
 
 
 def measure(members: Iterable) -> Fraction:
@@ -367,13 +419,13 @@ class SortedPrefixFree:
 
     __slots__ = ("kind", "keys", "cum", "den")
 
-    def __init__(self, members: Iterable, kind: str | None = None):
+    def __init__(self, members: Iterable, kind: Kind | None = None):
         pool = members if isinstance(members, frozenset) else frozenset(members)
-        self.kind = kind_of(pool, kind)
-        norm = _normalize(pool, self.kind)
-        # one pass when _normalize swept the members in this order already
-        self.keys = keys = sorted(norm if self.kind == "binary" else map(_family_key, norm))
-        self.den, weight = length_weights(map(len, keys), self.kind)
+        self.kind = kind = kind_of(pool, kind)
+        norm = _normalize(pool, kind)
+        # one pass when _normalize swept them in this order; an empty set may have no kind
+        self.keys = keys = sorted(map(kind.key, norm) if kind and kind.key else norm)
+        self.den, weight = length_weights(map(len, keys), kind)
         self.cum = list(itertools.accumulate(map(weight.__getitem__, map(len, keys)), initial=0))
 
     def measure(self) -> Fraction:
@@ -384,7 +436,7 @@ class SortedPrefixFree:
         member is a prefix of ``t``: it would be the last of those keys,
         as every member between the two would extend it."""
         _check_cell(self.kind, t)
-        low = t if self.kind == "binary" else _family_key(t)
+        low = t if self.kind.key is None else self.kind.key(t)
         lo = bisect_right(self.keys, low)
         return low, lo, lo > 0 and low[: len(self.keys[lo - 1])] == self.keys[lo - 1]
 
@@ -396,9 +448,8 @@ class SortedPrefixFree:
         member is a prefix of ``t``, else the mass of ``t``'s range."""
         low, lo, covered = self._place(t)
         if covered:
-            return Fraction(1, cell_den(self.kind, len(t)))
-        # "2" sorts after both bits, (inf,) after every table
-        high = t + "2" if self.kind == "binary" else low + ((inf,),)
+            return Fraction(1, self.kind.cell_den(len(t)))
+        high = low + self.kind.end
         return Fraction(self.cum[bisect_left(self.keys, high, lo)] - self.cum[lo], self.den)
 
     def least_open(self, prefix):
@@ -407,38 +458,23 @@ class SortedPrefixFree:
         ``len(keys) + 1`` children are built."""
         if self.covers(prefix):
             return None
-        cell = Fraction(1, cell_den(self.kind, len(prefix) + 1))
-        count = child_count(prefix)
+        cell = Fraction(1, self.kind.cell_den(len(prefix) + 1))
+        count = self.kind.child_count(prefix)
         for index in range(count):
-            t = child(prefix, index)
+            t = self.kind.child(prefix, index)
             mass = self.cell_mass(t)
             if mass < cell:
                 return t, index, count, mass
         return None
 
 
-def _check_cell(kind: str | None, t) -> None:
+def _check_cell(kind: Kind | None, t) -> None:
     """Refuse a cell of the other kind than the set's."""
-    if kind != ("binary" if isinstance(t, str) else "family"):
+    if cell_kind(t) is not kind:
         raise KindMismatchError(f"a {kind} set has no cell {t!r}")
 
 
-def child(prefix, index: int):
-    """The cell of the ``index``-th child of ``prefix`` in escape order:
-    ``prefix`` and a bit, or ``prefix`` and the encoding of the next width
-    of rank ``index``."""
-    if isinstance(prefix, str):
-        return prefix + "01"[index]
-    width = len(prefix) + 1
-    return prefix + (EncodingFunction(width, encoding_unrank(width, index)),)
-
-
-def child_count(prefix) -> int:
-    """Number of children of ``prefix``: 2, or the encodings of the next width."""
-    return 2 if isinstance(prefix, str) else encf_count(len(prefix) + 1)
-
-
-def open_view(members: Collection, kind: str | None = None):
+def open_view(members: Collection, kind: Kind | None = None):
     """The escape protocol's view of a finite set: a compact set as it
     is, any other sorted once (:class:`SortedPrefixFree`).  A set of the
     other kind than ``kind`` is refused."""
@@ -448,13 +484,13 @@ def open_view(members: Collection, kind: str | None = None):
     return SortedPrefixFree(members, kind)
 
 
-def open_union(pieces: Iterable[Collection], kind: str) -> Collection:
+def open_union(pieces: Iterable[Collection], kind: Kind) -> Collection:
     """One finite set for the union of finite sets of ``kind``: compact
-    when every nonempty piece of a family union is, else the frozenset
-    of every member, which refuses a compact piece past
-    ``EXHAUSTIVE_WIDTH_CAP``.  No piece's members are counted."""
+    when every nonempty piece is and ``kind`` is the compact form's,
+    else the frozenset of every member, which refuses a compact piece
+    past ``EXHAUSTIVE_WIDTH_CAP``.  No piece's members are counted."""
     pieces = [piece for piece in pieces if piece]
-    if kind == "family" and all(isinstance(p, FamilyPatternSet) for p in pieces):
+    if kind is FamilyPatternSet.kind and all(isinstance(p, FamilyPatternSet) for p in pieces):
         return FamilyPatternSet.union(pieces)
     return frozenset().union(*pieces)
 
@@ -466,13 +502,10 @@ def cell_mass(members: Collection, t) -> Fraction:
     Only the members inside the cell are normalized: a proper prefix of
     one of them either lies inside too or covers the whole cell.
     """
-    kind = kind_of(members, "binary" if isinstance(t, str) else "family")
+    kind = kind_of(members, cell_kind(t))
     if any(t[:i] in members for i in range(len(t) + 1)):
-        return Fraction(1, cell_den(kind, len(t)))
-    if kind == "binary":
-        inside = [s for s in members if s.startswith(t)]
-    else:
-        inside = [s for s in members if s[: len(t)] == t]
+        return Fraction(1, kind.cell_den(len(t)))
+    inside = [s for s in members if s[: len(t)] == t]
     return prefix_free_measure(_normalize(inside, kind), kind)
 
 
@@ -489,21 +522,9 @@ def subadditivity_check(sets: Sequence[Iterable]) -> bool:
     open sets are pairwise disjoint, the two sides are equal.
     """
     sets = [frozenset(s) for s in sets]
-    union: set = set()
-    for s in sets:
-        union |= s
-    lhs = measure(union)
-    rhs = sum((measure(s) for s in sets), ZERO)
-    if lhs > rhs:
-        return False
-    disjoint = all(
-        open_sets_disjoint(sets[i], sets[j])
-        for i in range(len(sets))
-        for j in range(i + 1, len(sets))
-    )
-    if disjoint and lhs != rhs:
-        return False
-    return True
+    lhs, rhs = measure(frozenset().union(*sets)), sum(map(measure, sets), ZERO)
+    pairs = itertools.combinations(sets, 2)
+    return lhs <= rhs and (lhs == rhs or not all(itertools.starmap(open_sets_disjoint, pairs)))
 
 
 def monotonicity_check(small: Iterable, big: Iterable) -> bool:
@@ -614,7 +635,7 @@ class FamilyPatternSet:
     """
 
     __slots__ = ("levels",)
-    kind = "family"
+    kind = FAMILY
 
     def __init__(self, levels: Mapping[int, tuple[Sequence[int], Iterable[Sequence[int]]]]):
         checked: dict[int, tuple[tuple[int, ...], frozenset[tuple[int, ...]]]] = {}
@@ -651,7 +672,7 @@ class FamilyPatternSet:
 
     def __len__(self) -> int:
         return sum(
-            cell_den("family", n - 1) * len(bad) * factorial((1 << n) - len(keys))
+            FAMILY.cell_den(n - 1) * len(bad) * factorial((1 << n) - len(keys))
             for n, (keys, bad) in self.levels.items()
         )
 
@@ -688,7 +709,7 @@ class FamilyPatternSet:
 
     @property
     def den(self) -> int:
-        return cell_den("family", max(self.levels, default=0))
+        return FAMILY.cell_den(max(self.levels, default=0))
 
     def measure(self) -> Fraction:
         return 1 - self.miss_after(0)
@@ -696,13 +717,13 @@ class FamilyPatternSet:
     def covers(self, prefix: FamilyPrefix) -> bool:
         """True iff some level within the prefix hits it: a member is a
         prefix of it, so its whole cell is inside."""
-        _check_cell("family", prefix)
+        _check_cell(FAMILY, prefix)
         return any(self._hits(prefix[n - 1]) for n in self.levels if n <= len(prefix))
 
     def cell_mass(self, t: FamilyPrefix) -> Fraction:
         """The whole cell of ``t`` if a level within ``t`` hits it, else the
         cell's share of the levels past it."""
-        volume = Fraction(1, cell_den("family", len(t)))
+        volume = Fraction(1, FAMILY.cell_den(len(t)))
         return volume if self.covers(t) else volume * (1 - self.miss_after(len(t)))
 
     def least_open(self, prefix: FamilyPrefix):
@@ -717,7 +738,7 @@ class FamilyPatternSet:
         if table is None:
             return None
         t = prefix + (EncodingFunction(width, table),)
-        return t, encoding_rank(table), encf_count(width), self.cell_mass(t)
+        return t, encoding_rank(table), FAMILY.child_count(prefix), self.cell_mass(t)
 
 
 def _refine(n: int, keys: tuple, bad: frozenset, joint: tuple) -> frozenset:
@@ -747,7 +768,7 @@ _NOT_BITS = str.maketrans("", "", "01\n")
 
 def format_binary_set(strings: Iterable[Bits]) -> str:
     lines = sorted(frozenset(strings), key=lambda s: (len(s), s))
-    return "\n".join(s if s else _EMPTY_TOKEN for s in lines) + ("\n" if lines else "")
+    return "".join(f"{s or _EMPTY_TOKEN}\n" for s in lines)
 
 
 def parse_binary_set(text: str) -> frozenset[Bits]:
@@ -779,30 +800,18 @@ def parse_encoding(token: str, width: int) -> EncodingFunction:
 
 
 def format_family_set(prefixes: Iterable[FamilyPrefix]) -> str:
-    lines = []
-    for prefix in sorted(
-        frozenset(prefixes), key=lambda p: (len(p), [e.table for e in p])
-    ):
-        lines.append(
-            " ".join(format_encoding(e) for e in prefix) if prefix else _EMPTY_TOKEN
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    lines = sorted(frozenset(prefixes), key=lambda p: (len(p), _family_key(p)))
+    return "".join(f"{' '.join(map(format_encoding, p)) or _EMPTY_TOKEN}\n" for p in lines)
 
 
 def parse_family_set(text: str) -> frozenset[FamilyPrefix]:
     out = set()
     for lineno, line in _content_lines(text):
-        if line in _EMPTY_TOKENS:
-            out.add(EMPTY_PREFIX)
-            continue
-        tokens = line.split()
+        tokens = () if line in _EMPTY_TOKENS else line.split()
         try:
-            prefix = tuple(
-                parse_encoding(tok, width) for width, tok in enumerate(tokens, start=1)
-            )
+            out.add(tuple(parse_encoding(tok, width) for width, tok in enumerate(tokens, 1)))
         except SetFormatError as exc:
             raise SetFormatError(f"line {lineno}: {exc}") from exc
-        out.add(prefix)
     return frozenset(out)
 
 

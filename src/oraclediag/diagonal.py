@@ -34,7 +34,7 @@ Every denominator a transcript writes out divides ``D``, the larger of
 the last stage's ``den`` and the cell count at the depth.  The driver
 refuses, before any level is built, an escape that ``cylinder``'s one
 size rule (``writable``: at most 4,300 digits) rejects: a depth past
-``writable_length``, 14,284 for binary and 9 for family escapes, or a
+``Kind.writable_length``, 14,284 for binary and 9 for family escapes, or a
 set whose own ``den`` is past the rule.  Under it a transcript still
 grows with the square of the depth: 31 MB at binary depth 14,284.
 """
@@ -48,21 +48,21 @@ from functools import partial
 from typing import Callable, Iterable
 
 from .cylinder import (
+    BINARY,
+    FAMILY,
     FamilyPatternSet,
+    Kind,
     KindMismatchError,
     TextLimitError,
-    cell_den,
+    cell_kind,
     cell_mass,
     cell_volume,
-    child,
-    child_count,
-    format_family_set,
+    kind_named,
     kind_of,
     measure,
     open_union,
     open_view,
     writable,
-    writable_length,
 )
 from .numbering import phi_escape
 from .schedules import Schedule
@@ -94,7 +94,7 @@ class EnumeratedOpenSet:
     measure.
     """
 
-    kind: str  # "binary" | "family"
+    kind: Kind  # given by a Kind or its name, kept as the Kind
     stages: Sequence[Collection]
     measure_approx: Callable[[int], Fraction]
     # precision k -> _stage_for result; lives and dies with this set
@@ -103,15 +103,14 @@ class EnumeratedOpenSet:
     _stages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("binary", "family"):
-            raise ValueError(f"unknown kind {self.kind!r}")
+        object.__setattr__(self, "kind", kind_named(self.kind))
         if not len(self.stages):
             raise ValueError("an open set needs at least one stage")
 
     @classmethod
-    def from_finite(cls, members: Collection, kind: str | None = None) -> "EnumeratedOpenSet":
+    def from_finite(cls, members: Collection, kind: Kind | str | None = None) -> EnumeratedOpenSet:
         """One-stage set of the members, viewed once; its approximator is exact."""
-        view = open_view(members, kind)
+        view = open_view(members, None if kind is None else kind_named(kind))
         if view.kind is None:
             raise ValueError("cannot infer the kind of an empty set")
         exact = view.measure()
@@ -182,27 +181,21 @@ class EscapeStep:
 
 @dataclass(frozen=True)
 class EscapeTranscript:
-    kind: str
+    kind: Kind
     mode: str
     prefix: object  # Bits or FamilyPrefix
     steps: tuple[EscapeStep, ...]
 
     def to_text(self) -> str:
-        lines = [f"kind {self.kind}", f"mode {self.mode}"]
-        if self.kind == "binary":
-            lines.append(f"prefix {self.prefix or '-'}")
-        else:
-            lines.append("prefix " + format_family_set([self.prefix]).strip())
-        for s in self.steps:
-            line = (
-                f"step {s.depth} candidates {s.candidate_count}"
-                f" chosen {s.chosen_index}"
-                f" F {s.trapped.numerator}/{s.trapped.denominator}"
-                f" cell {s.cell.numerator}/{s.cell.denominator}"
-            )
-            if s.precision is not None:
-                line += f" k {s.precision}"
-            lines.append(line)
+        prefix = self.kind.write([self.prefix]).strip()
+        lines = [f"kind {self.kind}", f"mode {self.mode}", f"prefix {prefix}"]
+        lines += (
+            f"step {s.depth} candidates {s.candidate_count} chosen {s.chosen_index}"
+            f" F {s.trapped.numerator}/{s.trapped.denominator}"
+            f" cell {s.cell.numerator}/{s.cell.denominator}"
+            + ("" if s.precision is None else f" k {s.precision}")
+            for s in self.steps
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -234,8 +227,8 @@ def _approx_choice(S: EnumeratedOpenSet, prefix, ceiling: int):
     at that stage's ``least_open``, or at the next child when a stage
     with members longer than the set's leaves the rejected one open.
     """
-    count = child_count(prefix)
-    index, t = 0, child(prefix, 0)
+    count = S.kind.child_count(prefix)
+    index, t = 0, S.kind.child(prefix, 0)
     cell = cell_volume(t)
     while True:
         f_val, k = _certify(S, t, cell, ceiling)
@@ -247,10 +240,10 @@ def _approx_choice(S: EnumeratedOpenSet, prefix, ceiling: int):
         index = max(jump[1], index + 1)
         if index == count:
             return None
-        t = child(prefix, index)
+        t = S.kind.child(prefix, index)
 
 
-def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
+def _escape(S, kind: Kind, depth: int, mode: str) -> EscapeTranscript:
     """The one escape driver: checks its arguments, wraps a finite set,
     and extends the prefix level by level.  A mode supplies its check that
     the measure is below 1 and its choice at a level: the last stage's
@@ -259,20 +252,20 @@ def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
         raise ValueError(f"depth must be at least 0, got {depth}")
     if mode not in ("exact", "approx"):
         raise ValueError(f"unknown mode {mode!r}")
-    cap = writable_length(kind)
+    cap = kind.writable_length
     if depth > cap:  # before 2**depth is built
         raise TextLimitError(f"{kind} escape depth capped at {cap}")
     if not isinstance(S, EnumeratedOpenSet):
         S = EnumeratedOpenSet.from_finite(S, kind=kind)
-    elif S.kind != kind:
+    elif S.kind is not kind:
         raise KindMismatchError(f"expected a {kind} set, got {S.kind}")
     total = _stage_view(S, len(S.stages))
-    prefix = "" if kind == "binary" else ()  # the root
+    prefix = kind.root
     # Every mass compared is a multiple of 1/D, and |F - f| < 2**-k; once
     # 2**(1-k) < 1/D, a cell certifies iff it is not full, and the measure
     # is certified below 1 iff it is.  A transcript writes out no
     # denominator past D.
-    D = writable(max(total.den, cell_den(kind, depth)), f"the {kind} set's cell count")
+    D = writable(max(total.den, kind.cell_den(depth)), f"the {kind} set's cell count")
     if mode == "exact":
         total_measure = total.measure()
         if total_measure >= 1:
@@ -298,12 +291,12 @@ def _escape(S, kind: str, depth: int, mode: str) -> EscapeTranscript:
 
 def escape_binary(S, depth: int, mode: str = "exact") -> EscapeTranscript:
     """Prefix of the requested depth escaping a binary open set."""
-    return _escape(S, "binary", depth, mode)
+    return _escape(S, BINARY, depth, mode)
 
 
 def escape_family(S, depth: int, mode: str = "exact") -> EscapeTranscript:
     """Family prefix of the requested depth escaping a family open set."""
-    return _escape(S, "family", depth, mode)
+    return _escape(S, FAMILY, depth, mode)
 
 
 def verify_escape(prefix, members: Iterable) -> bool:
@@ -314,7 +307,7 @@ def verify_escape(prefix, members: Iterable) -> bool:
     """
     if not isinstance(members, Collection):
         members = frozenset(members)
-    kind_of(members, "binary" if isinstance(prefix, str) else "family")  # refuses mixed kinds
+    kind_of(members, cell_kind(prefix))  # refuses mixed kinds
     return not any(prefix[:i] in members for i in range(len(prefix) + 1))
 
 
@@ -343,7 +336,7 @@ def assemble_open_set(
     m_max: int = 6,
     horizon: int = 3,
     g_schedule: Schedule | None = None,
-    kind: str = "family",
+    kind: Kind | str = FAMILY,
 ) -> EnumeratedOpenSet:
     """Union of scheduled constraint-set blocks as one enumerated open set.
 
@@ -386,7 +379,7 @@ def assemble_open_set(
         for m in range(1, min(last, m_max) + 1):
             start = g_schedule.g(m)
             pieces += (block(m, n) for n in range(start, min(stop(start), horizon) + 1))
-        return open_union(pieces, kind)
+        return open_union(pieces, open_set.kind)  # the Kind the set was built with
 
     def stage(r: int) -> Collection:
         return grid(r, lambda start: start + r - 1)
@@ -397,7 +390,8 @@ def assemble_open_set(
     # every cutoff g(m) is at least 1, so by stage max(m_max, horizon)
     # each block reaches the horizon and the stages stop growing
     stages = _Stages(stage, max(1, m_max, horizon))
-    return EnumeratedOpenSet(kind=kind, stages=stages, measure_approx=measure_approx)
+    open_set = EnumeratedOpenSet(kind=kind, stages=stages, measure_approx=measure_approx)
+    return open_set
 
 
 def build_ggm_testfamily(

@@ -20,7 +20,7 @@ prefixes, which the ``members=`` counts of a report only count.  So the
 escape depth reaches 9, choosing among up to 512! encodings per level
 without a scan, and the horizon reaches the widths the instance budget
 of the blocks' plans admits.  Depth 9 is where ``cylinder``'s one size
-rule (``writable_length``) stops family escapes: a depth-10 cell count
+rule (``FAMILY.writable_length``) stops family escapes: a depth-10 cell count
 has 4,673 digits, past the 4,300 Python writes out.
 """
 
@@ -152,14 +152,7 @@ def run_pipeline(
         f_schedule = named_schedule(schedule, C)
         g_schedule = Schedule.escape_from(f_schedule)
 
-    open_set = assemble_open_set(
-        testfamily,
-        f_schedule,
-        m_max=m_max,
-        horizon=horizon,
-        g_schedule=g_schedule,
-        kind="family",
-    )
+    open_set = assemble_open_set(testfamily, f_schedule, m_max, horizon, g_schedule)
 
     materialized: dict[tuple[int, int, int], int] = {}
     for m in range(1, m_max + 1):

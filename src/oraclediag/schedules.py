@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .cylinder import _content_lines, read_int, writable, writable_length
+from .cylinder import BINARY, _content_lines, read_int, writable
 from .numbering import phi_escape
 
 
@@ -88,7 +88,7 @@ def escape_schedule(m: int, f: Callable[[int, int], int]) -> int:
         raise ValueError("m must be positive")
     i, d = phi_escape(m)
     base = f(i, 2 * d) + 1
-    bits, cap = (m + 1) * (base.bit_length() - 1), writable_length("binary")
+    bits, cap = (m + 1) * (base.bit_length() - 1), BINARY.writable_length
     # base**(m + 1) >= 2**bits >= 2**(cap + 1), which the rule refuses in its place
     return writable(base ** (m + 1) if bits <= cap else 2 ** (cap + 1), f"the cutoff g({m})")
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from oraclediag import cylinder, diagonal
 from oraclediag.cylinder import (
+    BINARY,
+    FAMILY,
     FamilyPatternSet,
     TextLimitError,
     all_encodings,
@@ -16,7 +18,6 @@ from oraclediag.cylinder import (
     family_measure,
     family_prefixes_of_length,
     measure,
-    writable_length,
 )
 from oraclediag.diagonal import (
     EnumeratedOpenSet,
@@ -324,17 +325,16 @@ def test_approx_escape_rejects_bad_precisions(escape, members, k_start, k_max):
     ids=["binary-depth", "family-depth", "binary-set"],
 )
 def test_the_size_rule_refuses_before_any_level(escape, members, depth, message, mode, monkeypatch):
-    def refuse(prefix, index):
+    def refuse(kind, prefix, index):
         raise AssertionError("a level was built")
 
-    monkeypatch.setattr(cylinder, "child", refuse)
-    monkeypatch.setattr(diagonal, "child", refuse)  # _approx_choice looks it up here
+    monkeypatch.setattr(cylinder.Kind, "child", refuse)
     with pytest.raises(TextLimitError, match=message):
         escape(members, depth=depth, mode=mode)
 
 
 def test_the_deepest_writable_binary_escape_answers():
-    depth = writable_length("binary")
+    depth = BINARY.writable_length
     transcript = escape_binary({"1"}, depth=depth)
     assert transcript.prefix == "0" * depth == "0" * 14284
     assert transcript.steps[-1].cell == Fraction(1, 2**depth)
@@ -355,7 +355,7 @@ def compact_sets(draw):
     st.one_of(
         st.tuples(st.frozensets(st.text("01", min_size=1, max_size=6), max_size=8),
                   st.integers(0, 300)),
-        st.tuples(compact_sets(), st.integers(0, writable_length("family"))),
+        st.tuples(compact_sets(), st.integers(0, FAMILY.writable_length)),
     )
 )
 def test_every_approx_escape_ends(run):
@@ -447,7 +447,7 @@ def test_the_root_certifies_through_the_stage_search(depth):
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_an_escape_passes_five_thousand_full_children(mode):
     prefix = (E1[0], E2[0])
-    members = frozenset(cylinder.child(prefix, i) for i in range(5000))
+    members = frozenset(FAMILY.child(prefix, i) for i in range(5000))
     transcript = escape_family(members, depth=3, mode=mode)
     assert [step.chosen_index for step in transcript.steps] == [0, 0, 5000]
 
@@ -667,7 +667,7 @@ def reference_exact_escape(members, depth: int, kind: str) -> EscapeTranscript:
         prefix = t
         restricted = {s for s in restricted if len(s) > level and s[: level + 1] == prefix}
         steps.append(EscapeStep(level + 1, len(candidates), idx, trapped, cell))
-    return EscapeTranscript(kind, "exact", prefix, tuple(steps))
+    return EscapeTranscript(cylinder.KINDS[kind], "exact", prefix, tuple(steps))
 
 
 @settings(max_examples=150)

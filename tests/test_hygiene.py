@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-every name the benchmark looks up in the package exists, every name
-the package defines is read by the package or the benchmark, and every
-opcode the machine defines is emitted by a program builder."""
+only the two records of ``cylinder`` name a cylinder space, every name
+the benchmark looks up in the package exists, every name the package
+defines is read by the package or the benchmark, and every opcode the
+machine defines is emitted by a program builder."""
 
 import ast
 import importlib
@@ -78,6 +79,70 @@ def test_escapes_never_ask_how_a_set_is_stored():
     # diagonal reads every set through the open-set protocol of cylinder
     source = (ROOT / "src" / "oraclediag" / "diagonal.py").read_text(encoding="utf-8")
     assert not representation_checks(source)
+
+
+# ---------------------------------------------------------------------------
+# The two cylinder spaces are told apart by their records alone
+# ---------------------------------------------------------------------------
+
+KIND_NAMES = {"binary", "family"}
+RECORDS = {"BINARY", "FAMILY"}  # the only statements that name a space
+STR_CHECKS = {"validate_bits", "cell_kind"}  # the only functions that ask for a str
+
+
+def kind_offences(source: str, cylinder: bool) -> list[str]:
+    """``scope: text`` of every string constant naming a space and every
+    ``isinstance(..., str)`` in ``source``, less, in ``cylinder``, the
+    names in the two records and the checks in ``STR_CHECKS``."""
+    found = []
+    for node in ast.parse(source).body:
+        scope = getattr(node, "name", None) or ", ".join(bound([node])) or type(node).__name__
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Constant) and inner.value in KIND_NAMES:
+                if not (cylinder and scope in RECORDS):
+                    found.append(f"{scope}: {inner.value!r}")
+            elif (
+                isinstance(inner, ast.Call)
+                and ast.unparse(inner.func) == "isinstance"
+                and any(getattr(n, "id", None) == "str" for n in ast.walk(inner.args[-1]))
+                and not (cylinder and scope in STR_CHECKS)
+            ):
+                found.append(f"{scope}: {ast.unparse(inner)}")
+    return found
+
+
+def test_the_scan_sees_a_kind_told_apart_by_name_or_type():
+    source = (
+        'BINARY = Kind("binary")\nFAMILY = Kind("family")\n'
+        "def validate_bits(s):\n    return isinstance(s, str)\n"
+        "def cell_kind(t):\n    return isinstance(t, str)\n"
+        "def child(p):\n    return isinstance(p, (str, tuple)) or isinstance(p, tuple)\n"
+        'def parse(kind):\n    return kind == "binary"\n'
+        'CHOICES = ("binary", "family", "binary-ish")\n'
+    )
+    planted = [
+        "child: isinstance(p, (str, tuple))",
+        "parse: 'binary'",
+        "CHOICES: 'binary'",
+        "CHOICES: 'family'",
+    ]
+    assert kind_offences(source, cylinder=True) == planted
+    assert kind_offences(source, cylinder=False) == [
+        "BINARY: 'binary'",
+        "FAMILY: 'family'",
+        "validate_bits: isinstance(s, str)",
+        "cell_kind: isinstance(t, str)",
+        *planted,
+    ]
+
+
+def test_only_the_records_name_a_space_and_only_cylinder_infers_one():
+    found = [
+        f"{path.name}: {offence}"
+        for path in sorted((ROOT / "src" / "oraclediag").glob("*.py"))
+        for offence in kind_offences(path.read_text(encoding="utf-8"), path.stem == "cylinder")
+    ]
+    assert not found, found
 
 
 # ---------------------------------------------------------------------------

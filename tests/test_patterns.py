@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 from oraclediag import cylinder
 from oraclediag.cylinder import (
+    FAMILY,
     FamilyPatternSet,
     SortedPrefixFree,
     all_bit_strings,
     all_encodings,
     cell_mass,
-    child,
     encf_count,
     encoding_rank,
     encoding_unrank,
@@ -140,7 +140,7 @@ def test_encoding_rank_is_the_enumeration_index():
         assert ranks == list(range(len(all_encodings(n))))
         assert [encoding_unrank(n, i) for i in ranks] == [e.table for e in all_encodings(n)]
         prefix = E[: n - 1]
-        assert [child(prefix, i) for i in ranks] == [prefix + (e,) for e in all_encodings(n)]
+        assert [FAMILY.child(prefix, i) for i in ranks] == [prefix + (e,) for e in all_encodings(n)]
 
 
 @settings(max_examples=60)
@@ -233,7 +233,7 @@ def test_no_child_is_open(levels, prefix):
     view = FamilyPatternSet(levels)
     assert view.least_open(prefix) is None
     members = frozenset(view)  # every child is full on the member path too
-    children = [child(prefix, i) for i in range(encf_count(len(prefix) + 1))]
+    children = [FAMILY.child(prefix, i) for i in range(encf_count(len(prefix) + 1))]
     assert all(cell_mass(members, t) == cylinder.cell_volume(t) for t in children)
 
 
@@ -451,7 +451,7 @@ def test_family_escapes_list_no_encodings(mode, request):
 def test_a_compact_set_is_a_view_not_a_frozenset(no_members):
     assert WIDE and not FamilyPatternSet({})
     assert (WIDE == frozenset()) is False
-    union = cylinder.open_union([frozenset(), WIDE], "family")
+    union = cylinder.open_union([frozenset(), WIDE], FAMILY)
     assert union.levels == WIDE.levels and union.measure() == Fraction(1, 2)
 
 

@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 
 from oraclediag.cli import main
-from oraclediag.cylinder import KindMismatchError, SetFormatError, parse_encoding, read_int
+from oraclediag.cylinder import (
+    BINARY,
+    FAMILY,
+    KindMismatchError,
+    SetFormatError,
+    all_bit_strings,
+    bit_strings_up_to,
+    kind_named,
+    parse_encoding,
+    read_int,
+)
 from oraclediag.diagonal import EnumeratedOpenSet, build_ggm_testfamily, escape_binary, escape_family
 from oraclediag.experiments import dlog_success_ggm, largest_prime_factor, success_vector
 from oraclediag.fdh import default_toy_scheme, fdh_experiment_oracle, sigforge_toy
@@ -75,6 +85,16 @@ REFUSALS = {
         "expected a family set",
     ),
     "parse-encoding": (lambda: parse_encoding("a,b", 1), SetFormatError, "bad permutation token"),
+    # a child index is checked before it picks a bit or unranks an encoding
+    "binary-child-negative": (lambda: BINARY.child("0", -1), ValueError, "child index -1 is outside range(2)"),
+    "binary-child-past": (lambda: BINARY.child("0", 2), ValueError, "child index 2 is outside range(2)"),
+    "family-child-negative": (lambda: FAMILY.child((), -1), ValueError, "child index -1 is outside range(2)"),
+    "family-child-past": (lambda: FAMILY.child((), 2), ValueError, "child index 2 is outside range(2)"),
+    "binary-cell-den-negative": (lambda: BINARY.cell_den(-3), ValueError, "at least 0, got -3"),
+    "family-cell-den-negative": (lambda: FAMILY.cell_den(-3), ValueError, "at least 0, got -3"),
+    "kind-name": (lambda: kind_named("bogus"), ValueError, "unknown kind 'bogus'"),
+    "all-bit-strings-negative": (lambda: all_bit_strings(-1), ValueError, "at least 0, got -1"),
+    "bit-strings-up-to-negative": (lambda: bit_strings_up_to(-1), ValueError, "at least 0, got -1"),
 }
 
 

@@ -13,15 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oraclediag import cylinder
 from oraclediag.cylinder import (
+    BINARY,
+    FAMILY,
+    KINDS,
     EncodingFunction,
+    Kind,
     KindMismatchError,
     SortedPrefixFree,
     _normalize,
     all_encodings,
     cell_volume,
-    child,
     encoding_unrank,
     measure,
     normalize_prefix_free,
@@ -91,7 +93,7 @@ def first_candidate_escape(members, depth: int, kind: str) -> EscapeTranscript:
             raise AssertionError("no candidate below its cell volume")
         prefix = t
         steps.append(EscapeStep(level + 1, len(options), idx, trapped, cell_volume(t)))
-    return EscapeTranscript(kind, "exact", prefix, tuple(steps))
+    return EscapeTranscript(KINDS[kind], "exact", prefix, tuple(steps))
 
 
 def rescanning_approx_escape(S, depth: int) -> EscapeTranscript:
@@ -113,10 +115,10 @@ def rescanning_approx_escape(S, depth: int) -> EscapeTranscript:
         if k > top + 1:
             raise MeasureTooLargeError("never certified below 1")
         k *= 2
-    prefix = "" if S.kind == "binary" else ()
+    prefix = "" if S.kind is BINARY else ()
     steps = []
     for level in range(depth):
-        options = candidates(S.kind, level)
+        options = candidates(S.kind.name, level)
         for idx, tau in enumerate(options):
             t, k = extend(prefix, tau), 8
             cell = cell_volume(t)
@@ -210,7 +212,7 @@ def test_normalize_matches_all_pairs_family(members):
 @settings(max_examples=200)
 @given(bit_sets(below_one=False), st.lists(probes, max_size=6))
 def test_sorted_cell_mass_matches_a_scan_binary(members, ts):
-    view = SortedPrefixFree(members, "binary")
+    view = SortedPrefixFree(members, BINARY)
     assert view.measure() == scan_measure(members)
     for t in [*ts, *members, *(s + "0" for s in members), *(s[:-1] for s in members)]:
         assert view.cell_mass(t) == scan_cell_mass(members, t)
@@ -219,7 +221,7 @@ def test_sorted_cell_mass_matches_a_scan_binary(members, ts):
 @settings(max_examples=100)
 @given(family_sets, st.lists(family_prefixes(), max_size=6))
 def test_sorted_cell_mass_matches_a_scan_family(members, ts):
-    view = SortedPrefixFree(members, "family")
+    view = SortedPrefixFree(members, FAMILY)
     assert view.measure() == scan_measure(members)
     for t in [*ts, *members, *(s[:-1] for s in members if s)]:
         assert view.cell_mass(t) == scan_cell_mass(members, t)
@@ -231,10 +233,10 @@ def test_sorted_cell_mass_matches_a_scan_family(members, ts):
     ids=["binary-member", "binary-extension", "family-width-4-children"],
 )
 def test_least_open_of_a_covered_prefix_tries_no_child(members, prefix, monkeypatch):
-    def refuse(prefix, index):
+    def refuse(kind, prefix, index):
         raise AssertionError("built a child of a covered prefix")
 
-    monkeypatch.setattr(cylinder, "child", refuse)
+    monkeypatch.setattr(Kind, "child", refuse)
     assert SortedPrefixFree(members).least_open(prefix) is None
 
 
@@ -243,10 +245,11 @@ def test_least_open_builds_a_child_per_full_one_and_one_more(monkeypatch):
     prefix = (E1[0], E2[0], E3[0])
     members = {prefix + (EncodingFunction(4, encoding_unrank(4, i)),) for i in range(3)}
     built = []
-    monkeypatch.setattr(cylinder, "child", lambda p, i: built.append(i) or child(p, i))
+    child = Kind.child
+    monkeypatch.setattr(Kind, "child", lambda kind, p, i: built.append(i) or child(kind, p, i))
     t, index, count, mass = SortedPrefixFree(members).least_open(prefix)
     assert (index, count, mass, built) == (3, 20922789888000, 0, [0, 1, 2, 3])
-    assert t == child(prefix, 3)
+    assert t == FAMILY.child(prefix, 3)
 
 
 @settings(max_examples=150)
