@@ -29,7 +29,6 @@ from pathlib import Path
 
 from . import cylinder, diagonal, pipeline, programs, schedules
 from .experiments import cdh_success_ggm, dlog_success_ggm, shoup_audit
-from .schedules import Schedule
 
 
 def _emit(rows: list[dict], out: str | None, fmt: str) -> None:
@@ -101,6 +100,8 @@ def cmd_cdh(args) -> int:
 
 def cmd_diagonalize(args) -> int:
     if args.toy_pipeline:
+        if args.set_file:
+            raise ValueError("diagonalize takes a set file or --toy-pipeline, not both")
         report = pipeline.run_pipeline(
             schedule=args.schedule, depth=args.depth, C=args.C, mode=args.mode
         )
@@ -122,13 +123,14 @@ def cmd_diagonalize(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    if (args.k is None) != (args.d is None):
+        raise ValueError("schedule needs --k and --d together")
     base = schedules.named_schedule(args.schedule, args.C)
     rows = []
-    if args.k is not None and args.d is not None:
+    if args.k is not None:
         rows.append({"kind": "f", "k": args.k, "d": args.d, "value": base.f(args.k, args.d)})
     if args.m is not None:
-        g = Schedule.escape_from(base)
-        rows.append({"kind": "g", "k": args.m, "d": "", "value": g.g(args.m)})
+        rows.append({"kind": "g", "k": args.m, "d": "", "value": base.g(args.m)})
     if not rows:
         raise ValueError("schedule needs --k/--d and/or --m")
     for row in rows:
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=integer, default=3)
     p.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p.add_argument("--toy-pipeline", action="store_true")
-    p.add_argument("--schedule", default="paper", help="paper or compressed")
+    p.add_argument("--schedule", default="paper", help="paper, compressed or file:PATH")
     p.add_argument("--C", type=integer, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_diagonalize)

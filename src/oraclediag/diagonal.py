@@ -340,7 +340,8 @@ def assemble_open_set(
 ) -> EnumeratedOpenSet:
     """Union of scheduled constraint-set blocks as one enumerated open set.
 
-    Block m covers the pair ``phi_escape(m) = (i, d)`` from cutoff ``g(m)`` on;
+    Block m covers the pair ``phi_escape(m) = (i, d)`` from cutoff ``g(m)``
+    on (``g_schedule.g``, by default ``f_schedule.g``);
     only levels up to the horizon are built (the toy registries
     guarantee emptiness beyond it).  A stage is the ``open_union`` of its
     blocks.  Every block at a level past ``f(i, 2d)`` must measure
@@ -351,8 +352,7 @@ def assemble_open_set(
     precision k: members with index m <= k + 1, levels below
     ``g(m) * 2**(k+1)``.
     """
-    if g_schedule is None:
-        g_schedule = Schedule.escape_from(f_schedule)
+    g_schedule = g_schedule or f_schedule
 
     cells: dict[tuple[int, int, int], frozenset] = {}
 

@@ -54,8 +54,8 @@ from .vm import GenericProgram, coin_tapes, run_generic, run_symbolic
 # once; a question is refused when even its least instance count, with
 # one prime of 2**(n-1), is larger.  Over the n-bit primes the real
 # count is about 1.5 times the number of primes larger: width 13 dlog,
-# the widest this admits without coins, runs 2.8M instances, ~16 s on a
-# 2-vCPU VM.
+# the widest this admits without coins, runs 2.8M instances: 4-7 s for
+# const_guess:0 on a 2-vCPU VM, longer for longer programs (bsgs:1 over 25 s).
 INSTANCE_BUDGET = 2**12
 
 

@@ -102,7 +102,7 @@ def compressed_schedules(m_max: int = 5, horizon: int = 3) -> tuple[Schedule, Sc
     for m in range(1, m_max + 1):
         i, d = phi_escape(m)
         g_table[m] = 2 if (i, d) in ((1, 2), (2, 2)) else horizon + 1
-    return Schedule.custom(pair_table=f_table), Schedule.custom(unary_table=g_table)
+    return Schedule(pair_table=f_table), Schedule(unary_table=g_table)
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def run_pipeline(
 
     ``schedule`` is "compressed" (the custom toy tables) or a name
     ``schedules.named_schedule`` reads ("paper", "file:PATH"), whose
-    derived escape schedule gives the cutoffs.  ``depth`` goes up to 9,
+    f and derived g give the cutoffs.  ``depth`` goes up to 9,
     where ``cylinder``'s size rule stops family escapes; a block past the
     width the instance budget admits refuses the ``horizon``.
     """
@@ -149,8 +149,7 @@ def run_pipeline(
     if schedule == "compressed":
         f_schedule, g_schedule = compressed_schedules(m_max, horizon)
     else:
-        f_schedule = named_schedule(schedule, C)
-        g_schedule = Schedule.escape_from(f_schedule)
+        f_schedule = g_schedule = named_schedule(schedule, C)
 
     open_set = assemble_open_set(testfamily, f_schedule, m_max, horizon, g_schedule)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .cylinder import Bits, validate_bits
+from .cylinder import Bits, read_int, validate_bits
 from .numbering import string_to_nat
 from .vm import (
     OP_ADD,
@@ -246,32 +246,38 @@ def cdh_pin_table(pins: Sequence[tuple[int, Bits]]) -> GenericProgram:
 # ---------------------------------------------------------------------------
 
 
+# name -> (argument form, default, builder of (argument, width)); a
+# program with no form takes no argument, BITS is taken as written and
+# every other form is an integer.  Each builder is looked up when called,
+# where a tracer may wrap it.
+PROGRAMS = {
+    "const_guess": ("C", 0, lambda c, n: const_guess(c)),
+    "invalid_guess": (None, None, lambda _, n: invalid_guess()),
+    "random_guess": ("B", 1, lambda b, n: random_guess(b)),
+    "linear_search": ("M", 1, lambda m, n: linear_search(m)),
+    "bsgs": ("M", 2, lambda m, n: bsgs(m, n)),
+    "cdh_echo": (None, None, lambda _, n: cdh_echo()),
+    "cdh_const_guess": ("BITS", "", lambda s, n: cdh_const_guess(s)),
+    "cdh_invalid": (None, None, lambda _, n: cdh_invalid()),
+}
+
+REGISTRY_HELP = " | ".join(
+    f"{name}:{form}" if form else name for name, (form, *_) in PROGRAMS.items()
+)
+
+
 def build_program(spec: str, n: int) -> GenericProgram:
-    """Construct a registry program from a spec like ``linear_search:3``.
+    """Construct a registry program from a spec like ``linear_search:3``;
+    an empty argument stands for the default.
 
     The width n is only consulted by builders that need it (bsgs).
     """
-    name, _, arg = spec.partition(":")
-    if name == "const_guess":
-        return const_guess(int(arg or 0))
-    if name == "invalid_guess":
-        return invalid_guess()
-    if name == "random_guess":
-        return random_guess(int(arg or 1))
-    if name == "linear_search":
-        return linear_search(int(arg or 1))
-    if name == "bsgs":
-        return bsgs(int(arg or 2), n)
-    if name == "cdh_echo":
-        return cdh_echo()
-    if name == "cdh_const_guess":
-        return cdh_const_guess(arg)
-    if name == "cdh_invalid":
-        return cdh_invalid()
-    raise ValueError(f"unknown program spec {spec!r}")
-
-
-REGISTRY_HELP = (
-    "const_guess:C | invalid_guess | random_guess:B | linear_search:M | "
-    "bsgs:M | cdh_echo | cdh_const_guess:BITS | cdh_invalid"
-)
+    name, _, text = spec.partition(":")
+    if name not in PROGRAMS:
+        raise ValueError(f"unknown program spec {spec!r}")
+    form, default, build = PROGRAMS[name]
+    if text and form is None:
+        raise ValueError(f"program {name} takes no argument, got {spec!r}")
+    if text and form != "BITS":
+        return build(read_int(text, f"the argument of {name}"), n)
+    return build(text or default, n)

@@ -4,12 +4,14 @@ The lemma checkers are exact: every inequality is decided in rational or
 integer arithmetic, and infinite tails are certified through their
 integral majorant rather than eyeballed from partial sums.
 
-Two schedule shapes exist.  A *pair schedule* maps ``(k, d)`` to the
-cutoff above which the k-th adversary loses against exponent d; the
-closed form is ``max((2k + d + 1)**2, 2 C)`` with C the (user supplied)
-Shoup constant.  An *escape schedule* maps a single index ``m`` to the
-start of the m-th constraint block,
-``(f(phi1(m), 2 phi2(m)) + 1)**(m + 1)``.
+One record, ``Schedule``, holds both schedules of the construction.
+Its *pair schedule* ``f`` maps ``(k, d)`` to the cutoff above which the
+k-th adversary loses against exponent d; the closed form is
+``max((2k + d + 1)**2, 2 C)`` with C the (user supplied) Shoup
+constant.  Its *escape schedule* ``g`` maps a single index ``m`` to the
+start of the m-th constraint block, derived from f as
+``(f(phi1(m), 2 phi2(m)) + 1)**(m + 1)``.  Either one may instead be
+read from a table.
 """
 
 from __future__ import annotations
@@ -100,66 +102,40 @@ def escape_schedule(m: int, f: Callable[[int, int], int]) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A cutoff schedule of one of three kinds.
+    """The cutoff schedules f and g.  ``f`` reads ``pair_table`` when
+    there is one, else the closed form with constant ``C``; ``g`` reads
+    ``unary_table`` when there is one, else the escape schedule of ``f``.
+    ``Schedule()`` is the paper's schedule."""
 
-    ``dlog-paper`` evaluates the closed form above with constant ``C``;
-    ``custom-table`` reads explicit entries (pair-keyed for f, int-keyed
-    for g); ``escape`` derives g from a base pair schedule.
-    """
-
-    kind: str
-    C: int = 1
     pair_table: Mapping[tuple[int, int], int] | None = None
     unary_table: Mapping[int, int] | None = None
-    base: "Schedule | None" = None
+    C: int = 1
 
     def __post_init__(self) -> None:
         for key, v in (*(self.pair_table or {}).items(), *(self.unary_table or {}).items()):
             if v < 1:
                 raise ValueError(f"schedule value {v} at {key} must be a positive integer")
 
-    @classmethod
-    def dlog_paper(cls, C: int = 1) -> "Schedule":
-        return cls(kind="dlog-paper", C=C)
-
-    @classmethod
-    def custom(
-        cls,
-        pair_table: Mapping[tuple[int, int], int] | None = None,
-        unary_table: Mapping[int, int] | None = None,
-    ) -> "Schedule":
-        if pair_table is None and unary_table is None:
-            raise ValueError("custom schedule needs at least one table")
-        return cls(kind="custom-table", pair_table=pair_table, unary_table=unary_table)
-
-    @classmethod
-    def escape_from(cls, base: "Schedule") -> "Schedule":
-        return cls(kind="escape", base=base)
-
     def f(self, k: int, d: int) -> int:
-        if self.kind == "dlog-paper":
+        if self.pair_table is None:
             return dlog_schedule(k, d, self.C)
-        if self.kind == "custom-table" and self.pair_table is not None:
-            try:
-                return self.pair_table[(k, d)]
-            except KeyError:
-                raise ValueError(f"schedule table has no entry for (k={k}, d={d})")
-        raise ValueError(f"schedule of kind {self.kind!r} defines no pair function")
+        try:
+            return self.pair_table[(k, d)]
+        except KeyError:
+            raise ValueError(f"schedule table has no entry for (k={k}, d={d})")
 
     def g(self, m: int) -> int:
-        if self.kind == "escape":
-            assert self.base is not None
-            return escape_schedule(m, self.base.f)
-        if self.kind == "custom-table" and self.unary_table is not None:
-            try:
-                return self.unary_table[m]
-            except KeyError:
-                raise ValueError(f"schedule table has no entry for m={m}")
-        raise ValueError(f"schedule of kind {self.kind!r} defines no unary function")
+        if self.unary_table is None:
+            return escape_schedule(m, self.f)
+        try:
+            return self.unary_table[m]
+        except KeyError:
+            raise ValueError(f"schedule table has no entry for m={m}")
 
 
 def load_schedule_table(path: str | Path) -> Schedule:
-    """Read a pair schedule from a text file of ``k d N`` lines.
+    """Read the pair schedule f from a text file of ``k d N`` lines; g is
+    its escape schedule.
 
     Lines may use whitespace or commas; ``#`` starts a comment.
     """
@@ -170,14 +146,14 @@ def load_schedule_table(path: str | Path) -> Schedule:
             raise ValueError(f"{path}:{lineno}: expected 'k d N', got {line!r}")
         k, d, value = (read_int(p, f"{path}:{lineno}: field") for p in parts)
         pair_table[(k, d)] = value
-    return Schedule.custom(pair_table=pair_table)
+    return Schedule(pair_table=pair_table)
 
 
 def named_schedule(name: str, C: int = 1) -> Schedule:
-    """The pair schedule a name stands for: ``paper``, the closed form with
+    """The schedule a name stands for: ``paper``, the closed form with
     constant C, or ``file:PATH``, a table read by ``load_schedule_table``."""
     if name == "paper":
-        return Schedule.dlog_paper(C)
+        return Schedule(C=C)
     if name.startswith("file:"):
         return load_schedule_table(name[5:])
     raise ValueError(f"unknown schedule {name!r}")

@@ -237,10 +237,10 @@ def test_criterion_7_approximation_tower():
     )
     rom_assembled = assemble_open_set(
         rom_family,
-        Schedule.custom(pair_table={(1, 4): 2}),
+        Schedule(pair_table={(1, 4): 2}),
         m_max=1,
         horizon=2,
-        g_schedule=Schedule.custom(unary_table={1: 2}),
+        g_schedule=Schedule(unary_table={1: 2}),
         kind="binary",
     )
     rom_brute = binary_measure(rom_family(1, 2, 2))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oraclediag
-from oraclediag import cylinder
+from oraclediag import cylinder, programs
 from oraclediag.cli import main
 
 
@@ -136,6 +136,40 @@ class TestExperiments:
     def test_unknown_program(self, capsys):
         code, _, err = run_cli(capsys, "dlog", "--prog", "quantum:1", "--n", "2")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,spec,message",
+        [
+            ("dlog", "invalid_guess:7", "program invalid_guess takes no argument, got 'invalid_guess:7'"),
+            ("cdh", "cdh_echo:zzz", "program cdh_echo takes no argument, got 'cdh_echo:zzz'"),
+            ("dlog", "const_guess:abc", "the argument of const_guess is not an integer: 'abc'"),
+            ("dlog", f"const_guess:{'1' * 4400}",
+             "the argument of const_guess has more than 4300 digits, the most Python reads"),
+        ],
+        ids=["no-argument-dlog", "no-argument-cdh", "not-an-integer", "4400-digits"],
+    )
+    def test_program_arguments_are_read_by_the_registry(self, capsys, command, spec, message):
+        code, out, err = run_cli(capsys, command, "--prog", spec, "--n", "2")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_a_long_program_argument_is_refused_whatever_python_reads(self, monkeypatch):
+        monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", "0")
+        done = assert_usage_error(["dlog", "--prog", f"const_guess:{'1' * 4400}", "--n", "2"])
+        assert "has more than 4300 digits" in done.stderr and "1" * 100 not in done.stderr
+
+    def test_an_empty_argument_is_the_default(self, capsys):
+        for command, spec, name in (
+            ("cdh", "cdh_const_guess:", "cdh_const_guess(λ)"),
+            ("dlog", "const_guess:", "const_guess(0)"),
+        ):
+            code, out, _ = run_cli(capsys, command, "--prog", spec, "--n", "2")
+            assert code == 0 and out.splitlines()[1].startswith(f"{name},2,avg,")
+
+    def test_the_help_names_every_program(self):
+        assert programs.REGISTRY_HELP == (
+            "const_guess:C | invalid_guess | random_guess:B | linear_search:M | "
+            "bsgs:M | cdh_echo | cdh_const_guess:BITS | cdh_invalid"
+        )
 
     def test_cdh(self, capsys):
         code, out, _ = run_cli(capsys, "cdh", "--prog", "cdh_invalid", "--n", "2")
@@ -298,6 +332,18 @@ class TestDiagonalize:
             assert code == 0, out
             assert walks == expected
 
+    def test_a_set_file_with_the_toy_pipeline_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "set.txt"
+        path.write_text("0\n")
+        code, out, err = run_cli(capsys, "diagonalize", str(path), "--toy-pipeline")
+        assert (code, out) == (2, "")
+        assert err == "error: diagonalize takes a set file or --toy-pipeline, not both\n"
+
+    def test_the_schedule_help_names_every_schedule(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["diagonalize", "--help"])
+        assert "paper, compressed or file:PATH" in capsys.readouterr().out
+
     def test_toy_pipeline_paper(self, capsys):
         code, out, _ = run_cli(
             capsys, "diagonalize", "--toy-pipeline", "--schedule", "paper"
@@ -372,6 +418,11 @@ class TestScheduleAndBounds:
         code, out, _ = run_cli(capsys, "schedule", "--k", "1", "--d", "2", "--m", "1")
         assert code == 0
         assert "25" in out and "2500" in out
+
+    @pytest.mark.parametrize("argv", ["--k 1 --m 1", "--d 2 --m 1", "--k 1", "--d 2"])
+    def test_k_and_d_come_together(self, capsys, argv):
+        code, out, err = run_cli(capsys, "schedule", *argv.split())
+        assert (code, out, err) == (2, "", "error: schedule needs --k and --d together\n")
 
     def test_schedule_from_file(self, tmp_path, capsys):
         table = tmp_path / "table.txt"

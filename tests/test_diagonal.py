@@ -516,7 +516,7 @@ class TestAssemble:
     def test_empty_testfamily(self):
         empty = assemble_open_set(
             lambda i, d, n: frozenset(),
-            Schedule.dlog_paper(1),
+            Schedule(),
             m_max=3,
             horizon=3,
             kind="family",
@@ -530,8 +530,8 @@ class TestAssemble:
         def family(i, d, n):
             return target if (i, d, n) == (1, 2, 2) else frozenset()
 
-        g = Schedule.custom(unary_table={m: 2 for m in range(1, 4)})
-        f = Schedule.custom(pair_table={(i, dd): 2 for i in (1, 2, 3) for dd in (4, 6)})
+        g = Schedule(unary_table={m: 2 for m in range(1, 4)})
+        f = Schedule(pair_table={(i, dd): 2 for i in (1, 2, 3) for dd in (4, 6)})
         out = assemble_open_set(family, f, m_max=3, horizon=3, g_schedule=g, kind="family")
         expected = family_measure(target)
         for k in (0, 1, 4, 8):
@@ -544,8 +544,8 @@ class TestAssemble:
                 return frozenset((h, e) for h in E1 for e in E2)  # full: measure 1
             return frozenset()
 
-        f = Schedule.custom(pair_table={(i, dd): 2 for i in (1, 2) for dd in (4, 6)})
-        g = Schedule.custom(unary_table={1: 2, 2: 2})
+        f = Schedule(pair_table={(i, dd): 2 for i in (1, 2) for dd in (4, 6)})
+        g = Schedule(unary_table={1: 2, 2: 2})
         out = assemble_open_set(family, f, m_max=2, horizon=2, g_schedule=g, kind="family")
         with pytest.raises(ScheduleBoundError):
             out.stages[-1]

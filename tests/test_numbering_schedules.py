@@ -160,9 +160,9 @@ class TestSchedules:
         assert escape_schedule(2, lambda i, d: 1) == 8
 
     def test_escape_with_paper_f(self):
-        sched = Schedule.dlog_paper(1)
+        sched = Schedule()
         assert sched.f(1, 4) == 49
-        assert Schedule.escape_from(sched).g(1) == 2500
+        assert sched.g(1) == 2500
 
     def test_chain_inequality_spot(self):
         # above the cutoff, n**(2k+1) / 2**n stays below n**-d
@@ -172,15 +172,20 @@ class TestSchedules:
             assert n ** (2 * k + 1 + d) <= 2**n
 
     def test_custom_table_and_errors(self):
-        sched = Schedule.custom(pair_table={(1, 2): 7}, unary_table={1: 3})
+        sched = Schedule(pair_table={(1, 2): 7}, unary_table={1: 3})
         assert sched.f(1, 2) == 7
         assert sched.g(1) == 3
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"no entry for \(k=9, d=9\)"):
             sched.f(9, 9)
-        with pytest.raises(ValueError):
-            Schedule.dlog_paper(1).g(1)
-        with pytest.raises(ValueError):
-            Schedule.custom()
+
+    def test_one_table_answers_the_other_function(self):
+        table = {(1, 4): 7, (2, 4): 5}  # f(i, 2d) at phi_escape(1), phi_escape(2)
+        pair_only = Schedule(pair_table=table)
+        for m in (1, 2):
+            assert pair_only.g(m) == escape_schedule(m, lambda k, d: table[(k, d)])
+        assert (pair_only.g(1), pair_only.g(2)) == (8**2, 6**3)
+        # a unary table alone leaves f the closed form with constant C
+        assert Schedule(unary_table={1: 3}, C=40).f(1, 2) == dlog_schedule(1, 2, 40) == 80
 
 
 def test_schedule_table_file(tmp_path):
@@ -195,7 +200,7 @@ def test_schedule_table_file(tmp_path):
         load_schedule_table(bad)
     # the names the CLI and the toy pipeline read
     assert named_schedule(f"file:{path}") == sched
-    assert named_schedule("paper", 3) == Schedule.dlog_paper(3)
+    assert named_schedule("paper", 3) == Schedule(C=3)
     for name in ("compressed", "bogus", "file:"):
         with pytest.raises((ValueError, OSError)):
             named_schedule(name)

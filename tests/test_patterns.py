@@ -354,8 +354,8 @@ def pin_registry(tables):
 )
 def test_assembled_pin_tables_match_member_sets(tables, cutoffs, f_cutoff):
     family = registry_testfamily(pin_registry(tables), 3)
-    f = Schedule.custom(pair_table={(i, dd): f_cutoff for i in (1, 2, 3) for dd in (4, 6, 8)})
-    g = Schedule.custom(unary_table=dict(enumerate(cutoffs, start=1)))
+    f = Schedule(pair_table={(i, dd): f_cutoff for i in (1, 2, 3) for dd in (4, 6, 8)})
+    g = Schedule(unary_table=dict(enumerate(cutoffs, start=1)))
 
     def assembled(fam):
         return assemble_open_set(fam, f, m_max=5, horizon=3, g_schedule=g, kind="family")
@@ -457,8 +457,8 @@ def test_a_compact_set_is_a_view_not_a_frozenset(no_members):
 
 def wide_stage():
     """An assembled set whose every stage is WIDE, at level 4."""
-    f = Schedule.custom(pair_table={(1, 4): 5})  # past the level: no bound check
-    g = Schedule.custom(unary_table={1: 4})
+    f = Schedule(pair_table={(1, 4): 5})  # past the level: no bound check
+    g = Schedule(unary_table={1: 4})
 
     def family(i, d, n):
         return WIDE if (i, d, n) == (1, 2, 4) else frozenset()
@@ -481,8 +481,8 @@ def test_escape_over_a_width_four_set_past_an_index_sized_count(mode, no_members
 def test_bound_violations_match_member_sets():
     """A program that wins on every encoding floods its level in both paths."""
     family = registry_testfamily((GgmAdversary("flood", "dlog", lambda n: const_guess(0)),), 2)
-    f = Schedule.custom(pair_table={(1, 4): 2})
-    g = Schedule.custom(unary_table={1: 2})
+    f = Schedule(pair_table={(1, 4): 2})
+    g = Schedule(unary_table={1: 2})
     compact, members = (
         assemble_open_set(fam, f, m_max=1, horizon=2, g_schedule=g, kind="family")
         for fam in (family, lambda i, d, n: frozenset(family(i, d, n)))

@@ -90,8 +90,8 @@ def test_bound_violation_detected():
     """A sigma-independent adversary floods whole levels and must be refused."""
     registry = (GgmAdversary("flood", "dlog", lambda n: const_guess(0)),)
     family = registry_testfamily(registry, horizon=2)
-    f_sched = Schedule.custom(pair_table={(1, 4): 2})
-    g_sched = Schedule.custom(unary_table={1: 2})
+    f_sched = Schedule(pair_table={(1, 4): 2})
+    g_sched = Schedule(unary_table={1: 2})
     out = assemble_open_set(
         family, f_sched, m_max=1, horizon=2, g_schedule=g_sched, kind="family"
     )

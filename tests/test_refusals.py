@@ -60,13 +60,9 @@ REFUSALS = {
     "tail-bound-n0": (lambda: tail_bound_check(0, 2), ValueError, "n >= 1"),
     "dlog-schedule-k0": (lambda: dlog_schedule(0, 1, 1), ValueError, "positive"),
     "escape-schedule-m0": (lambda: escape_schedule(0, dlog_schedule), ValueError, "m must be positive"),
-    "escape-schedule-f": (
-        lambda: Schedule.escape_from(Schedule.dlog_paper()).f(1, 2), ValueError, "no pair function",
-    ),
-    "custom-table-g": (lambda: Schedule.custom(pair_table={(1, 2): 3}).g(1), ValueError, "no unary function"),
-    "custom-table-no-m": (lambda: Schedule.custom(unary_table={1: 2}).g(2), ValueError, "no entry for m=2"),
-    "custom-table-zero": (
-        lambda: Schedule.custom(pair_table={(1, 2): 0}), ValueError, "value 0 at (1, 2) must be a positive integer",
+    "schedule-table-no-m": (lambda: Schedule(unary_table={1: 2}).g(2), ValueError, "no entry for m=2"),
+    "schedule-table-zero": (
+        lambda: Schedule(pair_table={(1, 2): 0}), ValueError, "value 0 at (1, 2) must be a positive integer",
     ),
     "markov-alpha-0": (
         lambda: markov_exceed_count([Fraction(1)], Fraction(1), Fraction(0)), ValueError, "alpha must be positive",
